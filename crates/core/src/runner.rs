@@ -64,23 +64,32 @@ impl Strategy {
         epsilon: f64,
         telemetry: Telemetry,
     ) -> Box<dyn MessageProcessor> {
-        match self {
+        self.build_with_plan(dt, count, params, epsilon, telemetry)
+            .0
+    }
+
+    /// [`Strategy::build`], also returning the Δr plan the processor
+    /// committed to (RO-CP/RW-CP only).
+    pub fn build_with_plan(
+        &self,
+        dt: &Datatype,
+        count: u32,
+        params: NicParams,
+        epsilon: f64,
+        telemetry: Telemetry,
+    ) -> (Box<dyn MessageProcessor>, Option<CheckpointPlan>) {
+        let kind = match self {
             Strategy::Specialized => {
-                Box::new(SpecializedProcessor::new(dt, count, params).with_telemetry(telemetry))
+                let sp = SpecializedProcessor::new(dt, count, params).with_telemetry(telemetry);
+                return (Box::new(sp), None);
             }
-            Strategy::HpuLocal => Box::new(
-                GeneralProcessor::new(GeneralKind::HpuLocal, dt, count, params, epsilon)
-                    .with_telemetry(telemetry),
-            ),
-            Strategy::RoCp => Box::new(
-                GeneralProcessor::new(GeneralKind::RoCp, dt, count, params, epsilon)
-                    .with_telemetry(telemetry),
-            ),
-            Strategy::RwCp => Box::new(
-                GeneralProcessor::new(GeneralKind::RwCp, dt, count, params, epsilon)
-                    .with_telemetry(telemetry),
-            ),
-        }
+            Strategy::HpuLocal => GeneralKind::HpuLocal,
+            Strategy::RoCp => GeneralKind::RoCp,
+            Strategy::RwCp => GeneralKind::RwCp,
+        };
+        let gp = GeneralProcessor::new(kind, dt, count, params, epsilon);
+        let plan = gp.plan().copied();
+        (Box::new(gp.with_telemetry(telemetry)), plan)
     }
 }
 
@@ -208,31 +217,13 @@ impl Experiment {
     pub fn run_modeled(&self, strategy: Strategy) -> ModeledRun {
         let dl = compile_cached(&self.dt, self.count);
         let t_ph_predicted = estimate_t_ph(&self.params, &HandlerCycles::default(), &dl);
-        let (proc_, plan): (Box<dyn MessageProcessor>, Option<CheckpointPlan>) = match strategy {
-            Strategy::Specialized => (
-                Box::new(
-                    SpecializedProcessor::new(&self.dt, self.count, self.params.clone())
-                        .with_telemetry(self.telemetry.clone()),
-                ),
-                None,
-            ),
-            Strategy::HpuLocal | Strategy::RoCp | Strategy::RwCp => {
-                let kind = match strategy {
-                    Strategy::HpuLocal => GeneralKind::HpuLocal,
-                    Strategy::RoCp => GeneralKind::RoCp,
-                    _ => GeneralKind::RwCp,
-                };
-                let gp = GeneralProcessor::new(
-                    kind,
-                    &self.dt,
-                    self.count,
-                    self.params.clone(),
-                    self.epsilon,
-                );
-                let plan = gp.plan().copied();
-                (Box::new(gp.with_telemetry(self.telemetry.clone())), plan)
-            }
-        };
+        let (proc_, plan) = strategy.build_with_plan(
+            &self.dt,
+            self.count,
+            self.params.clone(),
+            self.epsilon,
+            self.telemetry.clone(),
+        );
         let report = self.execute(strategy, proc_);
         ModeledRun {
             report,

@@ -134,8 +134,13 @@ impl Pool {
                         let mut out: Vec<(usize, R)> = Vec::new();
                         loop {
                             // Own deque first (front), then steal from a
-                            // victim's back.
-                            let next = lock(&queues[w]).pop_front().or_else(|| {
+                            // victim's back. The own-deque pop is its own
+                            // statement so its guard drops before any
+                            // victim is locked: holding it across a steal
+                            // lets two idle workers each hold their own
+                            // lock while waiting on the other's.
+                            let own = lock(&queues[w]).pop_front();
+                            let next = own.or_else(|| {
                                 (1..workers)
                                     .map(|d| (w + d) % workers)
                                     .find_map(|v| lock(&queues[v]).pop_back())
@@ -234,6 +239,28 @@ mod tests {
         let payload = r.expect_err("panic must cross the barrier");
         let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
         assert!(msg.contains("job 7"), "payload preserved, got {msg:?}");
+    }
+
+    #[test]
+    fn trivial_jobs_never_deadlock_the_steal_path() {
+        // Thousands of equal, instant jobs make workers drain their own
+        // deques and turn to stealing at the same moment, the schedule
+        // under which a guard held across the steal deadlocked. A hang
+        // must fail the test, so the runs go on a watchdog thread.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for round in 0..50 {
+                for jobs in [2, 3, 4, 8, 16] {
+                    let n = 2000 + round;
+                    let out = Pool::new(jobs).par_map((0..n).collect::<Vec<usize>>(), |_, x| x + 1);
+                    assert_eq!(out.len(), n);
+                    assert!(out.iter().enumerate().all(|(i, &x)| x == i + 1));
+                }
+            }
+            tx.send(()).expect("watchdog listening");
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(120))
+            .expect("par_map hung (or panicked) on trivial jobs");
     }
 
     #[test]

@@ -8,8 +8,11 @@
 //! the simulated receive buffer — while their simulated runtime comes
 //! from the strategy's cost model (see `nca-core`).
 //!
-//! Entry point: [`nic::ReceiveSim::run`]. Sender-side strategies
-//! (streaming puts, outbound sPIN) are modelled in [`outbound`].
+//! The receive path is one core, [`nic::Nic`], fed by message sources:
+//! [`nic::ReceiveSim::run`] (one message, the usual entry point),
+//! [`multi::run_concurrent`] and the `nca-traffic` engine. Sender-side
+//! strategies (streaming puts, outbound sPIN) are modelled in
+//! [`outbound`].
 
 pub mod builtin;
 pub mod handler;

@@ -4,24 +4,23 @@
 //! paper's microbenchmark questions; a real NIC, however, serves many
 //! in-flight messages whose packets interleave on the link and whose
 //! handlers compete for the same HPUs, NIC memory and DMA engine. This
-//! module simulates that: each message carries its own
-//! [`MessageProcessor`], matching is per-header, vHPUs are namespaced
-//! per message, and the completion of each message is signalled by its
-//! own event-generating DMA write.
+//! module is a message source in front of the same receive core
+//! ([`crate::nic::Nic`]): each message carries its own
+//! [`MessageProcessor`], vHPUs are namespaced per message, and the
+//! completion of each message is signalled by its own event-generating
+//! DMA write.
 //!
 //! Link model: messages become eligible at their `start_time`; the
 //! shared ingress link serializes packets of all eligible messages
 //! round-robin at line rate (an idealized fair switch).
 
-use std::collections::HashMap;
-
-use nca_portals::packet::{packetize_wire, Packet};
-use nca_sim::{Sim, Time, TrackedFifo, WireBuf};
+use nca_portals::packet::Packet;
+use nca_sim::{Sim, Time, WireBuf};
 use nca_telemetry::Telemetry;
 
-use crate::handler::{DmaWrite, HandlerCost, MessageProcessor, PacketCtx};
+use crate::handler::{HandlerCost, MessageProcessor};
+use crate::nic::{MessageSource, Nic};
 use crate::params::NicParams;
-use crate::sched::Scheduler;
 
 /// One message to receive.
 pub struct MessageSpec {
@@ -61,179 +60,18 @@ impl MessageReport {
     }
 }
 
-struct MsgState {
-    packets: Vec<Packet>,
-    packed: WireBuf,
-    proc: Box<dyn MessageProcessor>,
-    host_buf: Vec<u8>,
-    host_origin: i64,
-    pending_payload: u64,
-    completion_dispatched: bool,
-    t_first_byte: Time,
-    t_complete: Option<Time>,
-    handler_costs: Vec<HandlerCost>,
-}
+/// The concurrent-receive source: messages are known up front, so it
+/// only steers.
+struct Concurrent;
 
-/// Mix the message index into a well-spread dFCFS steering hint.
-/// (splitmix64 finalizer; identity for blocked-RR/cFCFS which ignore
-/// the hint.)
-fn steer_hint(m: usize, vhpu: u64) -> usize {
-    let mut z = (m as u64) ^ (vhpu.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    (z ^ (z >> 31)) as usize
-}
-
-struct MultiWorld {
-    params: NicParams,
-    msgs: Vec<MsgState>,
-    sched: Scheduler<(usize, u64)>,
-    dma_queue: TrackedFifo<(usize, DmaWrite)>,
-    dma_chan_busy: Vec<bool>,
-    tel: Telemetry,
-    /// (msg, pkt idx) → vHPU-queue entry time (only when traced).
-    enq_time: HashMap<(usize, usize), Time>,
-}
-
-impl MultiWorld {
-    fn packet_arrival(&mut self, sim: &mut Sim<MultiWorld>, m: usize, idx: usize) {
-        let len = self.msgs[m].packets[idx].len;
-        self.tel
-            .counter("spin", "packets_arrived", m as u64, sim.now(), 1);
-        let inbound = self.params.nic_passthrough + self.params.nicmem_copy_time(len);
-        self.tel
-            .span("spin", "inbound", m as u64, sim.now(), sim.now() + inbound);
-        sim.schedule_in(inbound, move |w, s| w.her_ready(s, m, idx));
-    }
-
-    fn her_ready(&mut self, sim: &mut Sim<MultiWorld>, m: usize, idx: usize) {
-        let seq = self.msgs[m].packets[idx].seq;
-        let vhpu = self.msgs[m].proc.policy().vhpu_of(seq);
-        if self.tel.is_enabled() {
-            self.enq_time.insert((m, idx), sim.now());
-        }
-        self.sched.enqueue((m, vhpu), idx, steer_hint(m, vhpu));
-        self.try_dispatch(sim);
-    }
-
-    fn try_dispatch(&mut self, sim: &mut Sim<MultiWorld>) {
-        while let Some(d) = self.sched.next_dispatch() {
-            let (key, idx, hpu) = (d.key, d.pkt, d.hpu);
-            let dispatch = self.params.sched_dispatch;
-            let now = sim.now();
-            if let Some(enq) = self.enq_time.remove(&(key.0, idx)) {
-                if now > enq {
-                    self.tel.span("spin", "queue_wait", key.1, enq, now);
-                }
-            }
-            self.tel.span("spin", "sched", key.1, now, now + dispatch);
-            sim.schedule_in(dispatch, move |w, s| w.run_handler(s, key, idx, hpu));
-        }
-    }
-
-    fn run_handler(
-        &mut self,
-        sim: &mut Sim<MultiWorld>,
-        key: (usize, u64),
-        idx: usize,
-        hpu: usize,
-    ) {
-        let (m, vhpu) = key;
-        let st = &mut self.msgs[m];
-        let hdr = st.packets[idx].hdr;
-        let mut ctx = PacketCtx {
-            payload: &st.packets[idx].payload,
-            stream_offset: hdr.offset,
-            seq: hdr.seq,
-            npkt: st.packets.len() as u64,
-            vhpu,
-            now: sim.now(),
-            direct: None,
-        };
-        let out = st.proc.on_payload(&mut ctx);
-        st.handler_costs.push(out.cost);
-        let runtime = out.cost.total();
-        self.tel
-            .span("spin", "handler", vhpu, sim.now(), sim.now() + runtime);
-        sim.schedule_in(runtime, move |w, s| w.handler_done(s, key, hpu, out.dma));
-    }
-
-    fn handler_done(
-        &mut self,
-        sim: &mut Sim<MultiWorld>,
-        key: (usize, u64),
-        hpu: usize,
-        dma: Vec<DmaWrite>,
-    ) {
-        let (m, _) = key;
-        for w in dma {
-            self.enqueue_dma(sim, m, w);
-        }
-        self.sched.done(key, hpu);
-        self.msgs[m].pending_payload -= 1;
-        if self.msgs[m].pending_payload == 0 && !self.msgs[m].completion_dispatched {
-            self.msgs[m].completion_dispatched = true;
-            let dispatch = self.params.sched_dispatch;
-            sim.schedule_in(dispatch, move |w, s| {
-                let out = w.msgs[m].proc.on_completion();
-                let runtime = out.cost.total();
-                s.schedule_in(runtime, move |w2, s2| {
-                    for wr in out.dma {
-                        w2.enqueue_dma(s2, m, wr);
-                    }
-                });
-            });
-        }
-        self.try_dispatch(sim);
-    }
-
-    fn enqueue_dma(&mut self, sim: &mut Sim<MultiWorld>, m: usize, w: DmaWrite) {
-        self.dma_queue.push(sim.now(), (m, w));
-        self.kick_dma(sim);
-    }
-
-    fn kick_dma(&mut self, sim: &mut Sim<MultiWorld>) {
-        while let Some(chan) = self.dma_chan_busy.iter().position(|&b| !b) {
-            if let Some((_, front)) = self.dma_queue.front() {
-                // Event writes must not overtake in-flight data writes.
-                if front.event && self.dma_chan_busy.iter().any(|&b| b) {
-                    return;
-                }
-            }
-            let Some((m, w)) = self.dma_queue.pop(sim.now()) else {
-                return;
-            };
-            self.dma_chan_busy[chan] = true;
-            let service = self.params.dma_service_time(w.len);
-            let landing = self.params.pcie_latency;
-            self.tel.span(
-                "spin",
-                "dma_chan",
-                chan as u64,
-                sim.now(),
-                sim.now() + service,
-            );
-            sim.schedule_in(service, move |world, s| {
-                world.dma_chan_busy[chan] = false;
-                s.schedule_in(landing, move |w2, s2| {
-                    let t = s2.now();
-                    w2.dma_landed(t, m, &w);
-                });
-                world.kick_dma(s);
-            });
-        }
-    }
-
-    fn dma_landed(&mut self, t: Time, m: usize, w: &DmaWrite) {
-        let st = &mut self.msgs[m];
-        if !w.data.is_empty() {
-            let start = (w.host_off - st.host_origin) as usize;
-            st.host_buf[start..start + w.data.len()].copy_from_slice(&w.data);
-        }
-        if w.event {
-            st.t_complete = Some(t);
-            self.tel.instant("spin", "message_complete", m as u64, t);
-        }
+impl MessageSource for Concurrent {
+    /// Mix the message index into a well-spread dFCFS steering hint
+    /// (splitmix64 finalizer).
+    fn steer(&self, m: usize, vhpu: u64) -> usize {
+        let mut z = (m as u64) ^ (vhpu.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) as usize
     }
 }
 
@@ -241,14 +79,14 @@ impl MultiWorld {
 /// share the ingress at line rate. Returns `(arrival_time, msg, pkt)`.
 fn schedule_arrivals(
     params: &NicParams,
-    msgs: &[MsgState],
+    msgs: &[&[Packet]],
     starts: &[Time],
 ) -> Vec<(Time, usize, usize)> {
     let mut cursors: Vec<usize> = vec![0; msgs.len()];
     // (eligible_time, msg) priority: earliest start first, round-robin on ties.
     let mut link_free: Time = 0;
     let mut out = Vec::new();
-    let total: usize = msgs.iter().map(|m| m.packets.len()).sum();
+    let total: usize = msgs.iter().map(|m| m.len()).sum();
     let mut rr = 0usize;
     while out.len() < total {
         // Pick the message that can occupy the link earliest
@@ -258,7 +96,7 @@ fn schedule_arrivals(
         let mut pick: Option<(usize, Time)> = None;
         for k in 0..msgs.len() {
             let m = (rr + k) % msgs.len();
-            if cursors[m] >= msgs[m].packets.len() {
+            if cursors[m] >= msgs[m].len() {
                 continue;
             }
             let ready = link_free.max(starts[m]);
@@ -269,7 +107,7 @@ fn schedule_arrivals(
             }
         }
         let (m, _) = pick.expect("total counted");
-        let pkt = &msgs[m].packets[cursors[m]];
+        let pkt = &msgs[m][cursors[m]];
         let begin = link_free.max(starts[m]);
         let end = begin + params.pkt_wire_time(pkt.len);
         link_free = end;
@@ -285,69 +123,53 @@ pub fn run_concurrent(specs: Vec<MessageSpec>, params: &NicParams) -> Vec<Messag
     run_concurrent_traced(specs, params, Telemetry::disabled())
 }
 
-/// [`run_concurrent`] with a trace sink: emits the same event families
-/// as the single-message pipeline (wire/inbound spans on per-message
-/// tracks, queue-wait/dispatch/handler spans on vHPU tracks, DMA busy
-/// intervals on per-channel tracks, completion instants).
+/// [`run_concurrent`] with a trace sink: emits the single-message
+/// pipeline's `spin` event families (wire/inbound spans and arrival
+/// counters on per-message tracks, queue-wait/dispatch/handler spans on
+/// vHPU tracks, DMA busy intervals on per-channel tracks, completion
+/// instants).
 pub fn run_concurrent_traced(
     specs: Vec<MessageSpec>,
     params: &NicParams,
     tel: Telemetry,
 ) -> Vec<MessageReport> {
+    let wire_tel = tel.clone();
+    let mut nic = Nic::new(params.clone(), tel, Concurrent);
     let mut starts = Vec::with_capacity(specs.len());
-    let mut msgs: Vec<MsgState> = Vec::with_capacity(specs.len());
-    for (i, spec) in specs.into_iter().enumerate() {
-        let packets = packetize_wire(i as u64, &spec.packed, params.payload_size);
+    let mut names = Vec::with_capacity(specs.len());
+    for spec in specs {
         starts.push(spec.start_time);
-        msgs.push(MsgState {
-            pending_payload: packets.len() as u64,
-            packets,
-            packed: spec.packed,
-            proc: spec.proc,
-            host_buf: vec![0u8; spec.host_span as usize],
-            host_origin: spec.host_origin,
-            completion_dispatched: false,
-            t_first_byte: 0,
-            t_complete: None,
-            handler_costs: Vec::new(),
-        });
+        names.push(spec.proc.name());
+        nic.add_message(&spec.packed, spec.proc, spec.host_origin, spec.host_span);
     }
-    let arrivals = schedule_arrivals(params, &msgs, &starts);
+    let packets: Vec<&[Packet]> = (0..names.len()).map(|m| nic.packets(m)).collect();
+    let arrivals = schedule_arrivals(params, &packets, &starts);
+    let mut t_first_byte = vec![0; names.len()];
     for &(t, m, pkt) in &arrivals {
+        let wire = params.pkt_wire_time(packets[m][pkt].len);
         if pkt == 0 {
-            msgs[m].t_first_byte = t - params.pkt_wire_time(msgs[m].packets[0].len);
+            t_first_byte[m] = t - wire;
         }
         // Wire serialization span: the arrival time is one network
         // latency after the packet left the shared link.
-        if tel.is_enabled() {
-            let end = t - params.net_latency;
-            let wire = params.pkt_wire_time(msgs[m].packets[pkt].len);
-            tel.span("spin", "wire", m as u64, end.saturating_sub(wire), end);
-        }
+        let end = t - params.net_latency;
+        wire_tel.span("spin", "wire", m as u64, end.saturating_sub(wire), end);
     }
-    let mut world = MultiWorld {
-        params: params.clone(),
-        msgs,
-        sched: Scheduler::new(params.discipline, params.hpus),
-        dma_queue: TrackedFifo::new(false),
-        dma_chan_busy: vec![false; params.dma_channels.max(1)],
-        tel,
-        enq_time: HashMap::new(),
-    };
-    let mut sim: Sim<MultiWorld> = Sim::new();
+    let mut sim: Sim<Nic<Concurrent>> = Sim::new();
     for (t, m, pkt) in arrivals {
-        sim.schedule(t, move |w, s| w.packet_arrival(s, m, pkt));
+        Nic::schedule_arrival(&mut sim, m, pkt, t);
     }
-    sim.run(&mut world);
-    world
-        .msgs
+    sim.run(&mut nic);
+    nic.into_messages()
         .into_iter()
-        .map(|st| MessageReport {
-            strategy: st.proc.name(),
-            msg_bytes: st.packed.len() as u64,
-            t_first_byte: st.t_first_byte,
+        .zip(names)
+        .zip(t_first_byte)
+        .map(|((st, strategy), t_first_byte)| MessageReport {
+            strategy,
+            msg_bytes: st.bytes,
+            t_first_byte,
             t_complete: st.t_complete.unwrap_or(0),
-            host_buf: st.host_buf,
+            host_buf: st.host_buf.into_vec(),
             handler_costs: st.handler_costs,
         })
         .collect()

@@ -1,6 +1,6 @@
-//! The event-driven sPIN NIC receive pipeline.
+//! The event-driven sPIN NIC receive core.
 //!
-//! [`ReceiveSim`] drives one message through the full model:
+//! One core models the inbound path every in-flight message takes:
 //!
 //! ```text
 //! network (serialization + latency, optional reordering)
@@ -13,6 +13,14 @@
 //!   → host memory (actual bytes land in the receive buffer)
 //! ```
 //!
+//! [`Nic`] holds a per-message table (packets, processor, receive
+//! buffer, pending handlers, completion) in front of one NIC-wide
+//! scheduler, NIC memory and DMA engine. Messages enter it through a
+//! [`MessageSource`]: [`ReceiveSim::run`] is the one-message case,
+//! [`crate::multi::run_concurrent`] shares a round-robin link between
+//! several messages, and the open-loop traffic engine (`nca-traffic`)
+//! admits seeded offers against the packet buffer.
+//!
 //! The *message processing time* reported is the paper's definition:
 //! from the first byte of the message arriving at the NIC to the last
 //! byte landing in the receive buffer (signalled by the completion
@@ -23,7 +31,9 @@ use std::collections::{HashMap, VecDeque};
 use nca_portals::event::{EventKind, EventQueue, FullEvent};
 use nca_portals::matching::{MatchOutcome, MatchingUnit};
 use nca_portals::packet::{packetize_wire, stamp_checksums, Packet};
-use nca_sim::{DeliveredCopy, FaultInjector, FaultSpec, Sim, Time, TrackedFifo, WireBuf};
+use nca_sim::{
+    DeliveredCopy, FaultInjector, FaultSpec, PooledBuf, Sim, Time, TrackedFifo, WireBuf,
+};
 use nca_telemetry::{hist::LogHistogram, probe::SimTelemetryProbe, Telemetry};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -273,21 +283,126 @@ impl RunReport {
     }
 }
 
+/// What sits in front of the receive core: the part of a receive that
+/// differs between the one-message microbenchmark, concurrent receives
+/// and open-loop traffic. Sources add messages with
+/// [`Nic::add_message`], schedule their packets with
+/// [`Nic::schedule_arrival`], and may schedule events of their own on
+/// the same simulator.
+pub trait MessageSource: Sized + 'static {
+    /// Whether per-message results (receive buffer, handler costs,
+    /// completion time) outlive completion. A source that reads nothing
+    /// back sets this to `false`: the core then records no handler-cost
+    /// samples and frees a message's processor, packets and receive
+    /// buffer as soon as its completion write lands, so no packet of the
+    /// message may arrive after that (no duplicates or retransmissions).
+    const RETAIN: bool = true;
+
+    /// dFCFS steering hint for message `m`'s packets on `vhpu` (the
+    /// other disciplines ignore it).
+    fn steer(&self, m: usize, vhpu: u64) -> usize;
+
+    /// Message `m`'s completion write landed at `t`; `buf` is its final
+    /// receive buffer. With the event DMA engine this runs as its own
+    /// simulator event at landing time, so a source that admits work
+    /// against completions sees them in simulated-time order.
+    fn landed(&mut self, _m: usize, _t: Time, _buf: &[u8]) {}
+
+    /// A handler of `runtime` starts at `now` on physical HPU `hpu` (a
+    /// real index under dFCFS, 0 under the pooled disciplines).
+    fn trace_handler(&mut self, _hpu: usize, _now: Time, _runtime: Time) {}
+
+    /// The DMA queue holds `depth` writes after a push or pop at `now`.
+    fn trace_dma_queue(&self, _now: Time, _depth: usize) {}
+
+    /// DMA channel `chan` starts servicing a write at `now` for `service`.
+    fn trace_dma_chan(&self, _chan: usize, _now: Time, _service: Time) {}
+}
+
+/// [`ReceiveSim::run`]'s source: the single-message pipeline has no
+/// flow table, so the vHPU id doubles as the dFCFS steering hint and
+/// vHPUs map straight onto physical HPUs.
+struct OneMessage;
+
+impl MessageSource for OneMessage {
+    fn steer(&self, _m: usize, vhpu: u64) -> usize {
+        vhpu as usize
+    }
+}
+
+const LIVE: &str = "message state released before its last event";
+
+/// One message's receive state.
+pub(crate) struct Message {
+    pub(crate) packets: Vec<Packet>,
+    /// Packed message length.
+    pub(crate) bytes: u64,
+    /// `None` once released (see [`MessageSource::RETAIN`]).
+    proc: Option<Box<dyn MessageProcessor>>,
+    pub(crate) host_buf: PooledBuf,
+    host_origin: i64,
+    arrived: u64,
+    /// Payload handlers not yet finished.
+    pending: u64,
+    completion_dispatched: bool,
+    pub(crate) t_complete: Option<Time>,
+    pub(crate) handler_costs: Vec<HandlerCost>,
+    path: MsgPath,
+}
+
+/// Parked event arguments: the slot index rides in a `schedule_call`
+/// scalar, so the event needs no boxed closure. Slots are recycled
+/// through a free list.
+struct Slots<T> {
+    items: Vec<Option<T>>,
+    free: Vec<u32>,
+}
+
+impl<T> Slots<T> {
+    fn new() -> Self {
+        Slots {
+            items: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    fn park(&mut self, item: T) -> u64 {
+        match self.free.pop() {
+            Some(i) => {
+                self.items[i as usize] = Some(item);
+                i as u64
+            }
+            None => {
+                self.items.push(Some(item));
+                (self.items.len() - 1) as u64
+            }
+        }
+    }
+
+    fn take(&mut self, slot: u64) -> T {
+        self.free.push(slot as u32);
+        self.items[slot as usize].take().expect("armed slot")
+    }
+}
+
+#[derive(Default)]
 struct DmaEngine {
-    queue: TrackedFifo<DmaWrite>,
+    /// Queued writes with the index of the message they belong to.
+    queue: TrackedFifo<(usize, DmaWrite)>,
     /// Per-channel busy flags (index = channel, i.e. the trace track).
     chan_busy: Vec<bool>,
     /// The write each busy channel is currently servicing. Parking the
     /// write here (instead of capturing it in a closure) lets the
     /// service-done event be a plain allocation-free function call.
-    chan_slot: Vec<Option<DmaWrite>>,
-    /// Batched mode: with telemetry off and no occupancy time series
-    /// requested, the multi-channel FIFO service discipline is computed
-    /// algebraically at enqueue time — service start is `max(now, earliest
-    /// channel availability)` (all channels for the ordered completion
-    /// write) — and the bytes land immediately, so the engine emits no
-    /// simulator events at all. Timing is exact: landing time is service
-    /// completion plus the constant PCIe latency either way.
+    chan_slot: Vec<Option<(usize, DmaWrite)>>,
+    /// Batched mode (one-message receives only): with telemetry off and
+    /// no occupancy time series requested, the multi-channel FIFO
+    /// service discipline is computed algebraically at enqueue time —
+    /// service start is `max(now, earliest channel availability)` (all
+    /// channels for the ordered completion write) — and the bytes land
+    /// immediately, so the engine emits no simulator events at all.
+    /// Timing is exact: landing time is service completion plus the
+    /// constant PCIe latency either way.
     eager: bool,
     /// Eager mode: per-channel service-completion times.
     free_at: Vec<Time>,
@@ -315,37 +430,34 @@ impl DmaEngine {
     }
 }
 
-/// Parked `handler_done` arguments: `(vhpu, packet index, hpu, writes)`.
+/// Parked `handler_done` arguments: `(scheduler key, packet index, hpu,
+/// writes)`.
 type DoneArgs = (u64, usize, usize, Vec<DmaWrite>);
 
-struct World {
+/// Scheduler key of message `m`'s `vhpu`. vHPU ids stay below 2^32 (a
+/// packet sequence number or a Δp block index), so the one-message case
+/// keys by the bare vHPU id.
+fn sched_key(m: usize, vhpu: u64) -> u64 {
+    ((m as u64) << 32) | vhpu
+}
+
+/// The receive core: a per-message table in front of one scheduler,
+/// NIC memory and DMA engine, fed by the source `S`. It is the world
+/// type of its simulator, `Sim<Nic<S>>`.
+pub struct Nic<S> {
     params: NicParams,
-    packets: Vec<Packet>,
-    packed: WireBuf,
-    proc: Box<dyn MessageProcessor>,
+    msgs: Vec<Message>,
     sched: Scheduler<u64>,
     dma: DmaEngine,
-    host_buf: nca_sim::PooledBuf,
-    host_origin: i64,
-    pending_payload: u64,
-    completion_dispatched: bool,
-    t_complete: Option<Time>,
-    handler_costs: Vec<HandlerCost>,
-    matching: Option<MatchingUnit>,
-    match_bits: u64,
-    path: MsgPath,
-    events: EventQueue,
-    arrived: u64,
     tel: Telemetry,
-    /// Packet idx → time it entered its vHPU queue (flight-recorder
-    /// bookkeeping; only populated when telemetry is enabled).
-    enq_time: HashMap<usize, Time>,
-    /// Parked arguments of in-flight `handler_done` events: the slot
-    /// index rides in the event's scalar payload, so the per-packet
-    /// completion event needs no boxed closure. Slots are recycled
-    /// through a free list.
-    done_slots: Vec<Option<DoneArgs>>,
-    done_free: Vec<u32>,
+    /// (message, packet) → time it entered its vHPU queue (flight-
+    /// recorder bookkeeping; only populated when telemetry is enabled).
+    enq_time: HashMap<(usize, usize), Time>,
+    done: Slots<DoneArgs>,
+    /// Completion-handler writes, waiting out the handler's runtime.
+    finals: Slots<Vec<DmaWrite>>,
+    /// Serviced writes waiting out the PCIe latency.
+    landing: Slots<(usize, DmaWrite)>,
     /// Latency distributions accumulated over the run and emitted as
     /// single `Hist` events at the end (they survive ring eviction).
     hist_handler: LogHistogram,
@@ -358,18 +470,105 @@ struct World {
     resident_payload: u64,
     /// Peak of `resident_payload` over the run.
     resident_hwm: u64,
-    /// Reliable-delivery state; `None` on a lossless network.
+    // Portals matching and reliable delivery serve the one-message
+    // receive: the matching walk assumes its header arrives first, and
+    // the retransmission state is message 0's.
+    matching: Option<MatchingUnit>,
+    match_bits: u64,
+    events: EventQueue,
     rel: Option<RelState>,
+    /// The message source.
+    pub src: S,
 }
 
-impl World {
+impl<S: MessageSource> Nic<S> {
+    /// An idle core running the event-driven DMA engine, emitting the
+    /// `spin` trace family into `tel`.
+    pub fn new(params: NicParams, tel: Telemetry, src: S) -> Self {
+        let chans = params.dma_channels.max(1);
+        Nic {
+            sched: Scheduler::new(params.discipline, params.hpus),
+            dma: DmaEngine {
+                queue: TrackedFifo::new(false),
+                chan_busy: vec![false; chans],
+                chan_slot: (0..chans).map(|_| None).collect(),
+                free_at: vec![0; chans],
+                ..DmaEngine::default()
+            },
+            params,
+            msgs: Vec::new(),
+            tel,
+            enq_time: HashMap::new(),
+            done: Slots::new(),
+            finals: Slots::new(),
+            landing: Slots::new(),
+            hist_handler: LogHistogram::new(),
+            hist_queue_wait: LogHistogram::new(),
+            hist_dma: LogHistogram::new(),
+            nic_mem: 0,
+            resident_payload: 0,
+            resident_hwm: 0,
+            matching: None,
+            match_bits: 0,
+            events: EventQueue::new(),
+            rel: None,
+            src,
+        }
+    }
+
+    /// Add a message: `packed` is packetized (message id = the returned
+    /// table index) for `proc`, landing in a zeroed receive buffer
+    /// spanning `[host_origin, host_origin + host_span)`. Its packets
+    /// reach the NIC only once scheduled with [`Nic::schedule_arrival`].
+    pub fn add_message(
+        &mut self,
+        packed: &WireBuf,
+        proc: Box<dyn MessageProcessor>,
+        host_origin: i64,
+        host_span: u64,
+    ) -> usize {
+        let m = self.msgs.len();
+        let packets = packetize_wire(m as u64, packed, self.params.payload_size);
+        let npkt = packets.len();
+        self.msgs.push(Message {
+            packets,
+            bytes: packed.len() as u64,
+            proc: Some(proc),
+            host_buf: nca_sim::arena::take_zeroed(host_span as usize),
+            host_origin,
+            arrived: 0,
+            pending: npkt as u64,
+            completion_dispatched: false,
+            t_complete: None,
+            handler_costs: Vec::with_capacity(if S::RETAIN { npkt } else { 0 }),
+            path: MsgPath::Spin,
+        });
+        m
+    }
+
+    /// Message `m`'s packets (empty once released).
+    pub fn packets(&self, m: usize) -> &[Packet] {
+        &self.msgs[m].packets
+    }
+
+    /// Schedule packet `idx` of message `m` to reach the NIC at `at`.
+    pub fn schedule_arrival(sim: &mut Sim<Self>, m: usize, idx: usize, at: Time) {
+        sim.schedule_call(at, ev_packet_arrival::<S>, m as u64, idx as u64);
+    }
+
+    /// The message table, once the run is over.
+    pub(crate) fn into_messages(self) -> Vec<Message> {
+        self.msgs
+    }
+
     /// One wire transmission attempt of packet `idx` with nominal
     /// arrival time `arrival` (serialization already accounted). The
     /// fault injector renders the deterministic verdict; every delivered
     /// copy becomes an arrival event and a retransmission timer guards
     /// the attempt.
-    fn transmit(&mut self, sim: &mut Sim<World>, idx: usize, attempt: u32, arrival: Time) {
-        let (msg_id, seq) = (self.packets[idx].msg_id, self.packets[idx].seq);
+    fn transmit(&mut self, sim: &mut Sim<Self>, idx: usize, attempt: u32, arrival: Time) {
+        let hdr = self.msgs[0].packets[idx].hdr;
+        let (msg_id, seq) = (hdr.msg_id, hdr.seq);
         let rel = self.rel.as_mut().expect("transmit requires fault mode");
         rel.stats.transmissions += 1;
         let verdict = rel.injector.judge(msg_id, seq, attempt);
@@ -407,9 +606,9 @@ impl World {
     }
 
     /// Retransmission timer for `attempt` of packet `idx` fired.
-    fn retry_timeout(&mut self, sim: &mut Sim<World>, idx: usize, attempt: u32) {
+    fn retry_timeout(&mut self, sim: &mut Sim<Self>, idx: usize, attempt: u32) {
         let params_net = self.params.net_latency;
-        let wire = self.params.pkt_wire_time(self.packets[idx].len);
+        let wire = self.params.pkt_wire_time(self.msgs[0].packets[idx].len);
         let rel = self.rel.as_mut().expect("fault mode");
         let tx = &mut rel.tx[idx];
         if tx.acked || tx.fallback || tx.attempt != attempt {
@@ -436,8 +635,8 @@ impl World {
 
     /// A copy of packet `idx` reached the NIC. `copy: None` means the
     /// reliable host-fallback channel delivered it (never faulty).
-    fn packet_rx(&mut self, sim: &mut Sim<World>, idx: usize, copy: Option<DeliveredCopy>) {
-        let hdr = self.packets[idx].hdr;
+    fn packet_rx(&mut self, sim: &mut Sim<Self>, idx: usize, copy: Option<DeliveredCopy>) {
+        let pkt = &self.msgs[0].packets[idx];
         let now = sim.now();
         // Corruption detection: recompute the checksum over the bytes as
         // they arrived. The fault layer materializes corrupted copies
@@ -445,9 +644,9 @@ impl World {
         // single-byte flip always breaks FNV-1a, so a corrupted copy
         // never reaches the pipeline.
         if let Some(c) = copy {
-            if c.corrupt && hdr.len > 0 {
-                let bytes = c.materialize(&self.packets[idx].payload);
-                if !hdr.verify_payload(&bytes) {
+            if c.corrupt && pkt.hdr.len > 0 {
+                let bytes = c.materialize(&pkt.payload);
+                if !pkt.hdr.verify_payload(&bytes) {
                     let rel = self.rel.as_mut().expect("fault mode");
                     rel.stats.corrupts_rejected += 1;
                     self.tel.counter("spin", "corrupt_rejected", 0, now, 1);
@@ -472,19 +671,22 @@ impl World {
                 rel.stats.acks_received += 1;
             }
         });
-        self.packet_arrival(sim, idx);
+        self.packet_arrival(sim, 0, idx);
     }
 
-    fn packet_arrival(&mut self, sim: &mut Sim<World>, idx: usize) {
-        let hdr = self.packets[idx].hdr;
-        self.arrived += 1;
-        self.tel.counter("spin", "packets_arrived", 0, sim.now(), 1);
+    fn packet_arrival(&mut self, sim: &mut Sim<Self>, m: usize, idx: usize) {
+        let now = sim.now();
+        let st = &mut self.msgs[m];
+        let hdr = st.packets[idx].hdr;
+        st.arrived += 1;
+        self.tel
+            .counter("spin", "packets_arrived", m as u64, now, 1);
         // The header packet triggers the Portals matching walk and fixes
         // the message's data path (the pinned ME serves the rest).
         if hdr.kind.is_header() {
             if let Some(mu) = self.matching.as_mut() {
                 let (outcome, me) = mu.match_header(hdr.msg_id, self.match_bits);
-                self.path = match (outcome, me.and_then(|m| m.exec_ctx)) {
+                st.path = match (outcome, me.and_then(|e| e.exec_ctx)) {
                     (MatchOutcome::Priority, Some(_)) => MsgPath::Spin,
                     (MatchOutcome::Priority, None) => MsgPath::NonProcessing,
                     (MatchOutcome::Overflow, _) => MsgPath::Unexpected,
@@ -497,27 +699,28 @@ impl World {
                 mu.complete(hdr.msg_id);
             }
         }
-        match self.path {
+        let last = st.arrived == st.packets.len() as u64;
+        match st.path {
             MsgPath::Spin => {
                 // Inbound engine: copy payload into NIC memory, then HER.
                 let inbound = self.params.nic_passthrough + self.params.nicmem_copy_time(hdr.len);
                 self.tel
-                    .span("spin", "inbound", 0, sim.now(), sim.now() + inbound);
-                sim.schedule_call_in(inbound, ev_her_ready, idx as u64, 0);
+                    .span("spin", "inbound", m as u64, now, now + inbound);
+                sim.schedule_call_in(inbound, ev_her_ready::<S>, m as u64, idx as u64);
             }
             MsgPath::NonProcessing | MsgPath::Unexpected => {
                 // RDMA landing: one contiguous DMA write per packet at its
                 // stream offset; no HPU involvement. The write reuses the
                 // packet's payload view — no bytes are copied.
-                let passthrough = self.params.nic_passthrough;
-                let last = self.arrived == self.packets.len() as u64;
-                let overflow = self.path == MsgPath::Unexpected;
-                sim.schedule_in(passthrough, move |w, s| {
-                    let payload = w.packets[idx].payload.clone();
-                    w.enqueue_dma(
-                        s,
-                        DmaWrite::data(w.host_origin + hdr.offset as i64, payload),
+                let overflow = st.path == MsgPath::Unexpected;
+                sim.schedule_in(self.params.nic_passthrough, move |w, s| {
+                    let st = &w.msgs[m];
+                    let write = DmaWrite::data(
+                        st.host_origin + hdr.offset as i64,
+                        st.packets[idx].payload.clone(),
                     );
+                    let size = st.bytes;
+                    w.enqueue_dma(s, m, write);
                     if last {
                         w.events.post(FullEvent {
                             kind: if overflow {
@@ -526,28 +729,31 @@ impl World {
                                 EventKind::Put
                             },
                             msg_id: hdr.msg_id,
-                            size: w.packed.len() as u64,
+                            size,
                             time: s.now(),
                         });
-                        w.enqueue_dma(s, DmaWrite::completion_signal());
+                        w.enqueue_dma(s, m, DmaWrite::completion_signal());
                     }
                 });
             }
             MsgPath::Discarded => {
                 // Dropped: no data movement, no events. The run ends when
                 // the last packet has been parsed.
-                if self.arrived == self.packets.len() as u64 {
-                    self.t_complete = Some(sim.now() + self.params.nic_passthrough);
+                if last {
+                    st.t_complete = Some(now + self.params.nic_passthrough);
                 }
             }
         }
     }
 
-    fn her_ready(&mut self, sim: &mut Sim<World>, idx: usize) {
+    fn her_ready(&mut self, sim: &mut Sim<Self>, m: usize, idx: usize) {
+        let now = sim.now();
+        let st = &self.msgs[m];
+        let pkt = &st.packets[idx];
         // The inbound engine has landed this payload in NIC memory:
         // charge it against the NIC-memory budget until its handler
         // consumes it.
-        self.resident_payload += self.packets[idx].len;
+        self.resident_payload += pkt.len;
         if self.resident_payload > self.resident_hwm {
             self.resident_hwm = self.resident_payload;
         }
@@ -555,30 +761,28 @@ impl World {
             "spin",
             "nic_mem_bytes",
             0,
-            sim.now(),
+            now,
             (self.nic_mem + self.resident_payload) as f64,
         );
-        let seq = self.packets[idx].seq;
-        let vhpu = self.proc.policy().vhpu_of(seq);
+        let vhpu = st.proc.as_deref().expect(LIVE).policy().vhpu_of(pkt.seq);
         if self.tel.is_enabled() {
-            self.enq_time.insert(idx, sim.now());
+            self.enq_time.insert((m, idx), now);
         }
-        // The vHPU id doubles as the dFCFS steering hint: the single-
-        // message pipeline has no flow table, so vHPUs map straight
-        // onto physical HPUs.
-        self.sched.enqueue(vhpu, idx, vhpu as usize);
+        let hint = self.src.steer(m, vhpu);
+        self.sched.enqueue(sched_key(m, vhpu), idx, hint);
         self.try_dispatch(sim);
     }
 
-    fn try_dispatch(&mut self, sim: &mut Sim<World>) {
+    fn try_dispatch(&mut self, sim: &mut Sim<Self>) {
         while let Some(d) = self.sched.next_dispatch() {
-            let (vhpu, idx, hpu) = (d.key, d.pkt, d.hpu);
+            let (key, idx, hpu) = (d.key, d.pkt, d.hpu);
+            let (m, vhpu) = ((key >> 32) as usize, key & 0xFFFF_FFFF);
             let dispatch = self.params.sched_dispatch;
             let now = sim.now();
             // Only populated when telemetry is on; skip the hash when
             // provably empty.
             if !self.enq_time.is_empty() {
-                if let Some(enq) = self.enq_time.remove(&idx) {
+                if let Some(enq) = self.enq_time.remove(&(m, idx)) {
                     self.hist_queue_wait.record(now - enq);
                     if now > enq {
                         self.tel.span("spin", "queue_wait", vhpu, enq, now);
@@ -589,68 +793,64 @@ impl World {
             self.tel.span("spin", "sched", vhpu, now, now + dispatch);
             sim.schedule_call_in(
                 dispatch,
-                ev_run_handler,
-                vhpu,
+                ev_run_handler::<S>,
+                key,
                 ((idx as u64) << 32) | hpu as u64,
             );
         }
     }
 
-    fn run_handler(&mut self, sim: &mut Sim<World>, vhpu: u64, idx: usize, hpu: usize) {
-        let hdr = self.packets[idx].hdr;
+    fn run_handler(&mut self, sim: &mut Sim<Self>, key: u64, idx: usize, hpu: usize) {
+        let (m, vhpu) = ((key >> 32) as usize, key & 0xFFFF_FFFF);
+        let now = sim.now();
+        let st = &mut self.msgs[m];
+        let pkt = &st.packets[idx];
         // In the eager-DMA regime the handler scatters payload bytes
         // straight into the receive buffer (length-only DMA writes);
         // the event-driven engine needs view-carrying writes so the
         // bytes land at their simulated DMA times.
         let direct = if self.dma.eager {
             Some(DirectDst {
-                buf: &mut self.host_buf[..],
-                origin: self.host_origin,
+                buf: &mut st.host_buf[..],
+                origin: st.host_origin,
             })
         } else {
             None
         };
         let mut ctx = PacketCtx {
-            payload: &self.packets[idx].payload,
-            stream_offset: hdr.offset,
-            seq: hdr.seq,
-            npkt: self.packets.len() as u64,
+            payload: &pkt.payload,
+            stream_offset: pkt.hdr.offset,
+            seq: pkt.hdr.seq,
+            npkt: st.packets.len() as u64,
             vhpu,
-            now: sim.now(),
+            now,
             direct,
         };
-        let out = self.proc.on_payload(&mut ctx);
-        self.handler_costs.push(out.cost);
+        let out = st.proc.as_deref_mut().expect(LIVE).on_payload(&mut ctx);
+        if S::RETAIN {
+            st.handler_costs.push(out.cost);
+        }
         let runtime = out.cost.total();
         if self.tel.is_enabled() {
             self.hist_handler.record(runtime);
         }
-        self.tel
-            .span("spin", "handler", vhpu, sim.now(), sim.now() + runtime);
-        let args = (vhpu, idx, hpu, out.dma);
-        let slot = match self.done_free.pop() {
-            Some(i) => {
-                self.done_slots[i as usize] = Some(args);
-                i
-            }
-            None => {
-                self.done_slots.push(Some(args));
-                (self.done_slots.len() - 1) as u32
-            }
-        };
-        sim.schedule_call_in(runtime, ev_handler_done, slot as u64, 0);
+        self.tel.span("spin", "handler", vhpu, now, now + runtime);
+        self.src.trace_handler(hpu, now, runtime);
+        let slot = self.done.park((key, idx, hpu, out.dma));
+        sim.schedule_call_in(runtime, ev_handler_done::<S>, slot, 0);
     }
 
     fn handler_done(
         &mut self,
-        sim: &mut Sim<World>,
-        vhpu: u64,
+        sim: &mut Sim<Self>,
+        key: u64,
         idx: usize,
         hpu: usize,
         mut dma: Vec<DmaWrite>,
     ) {
+        let m = (key >> 32) as usize;
         // The handler consumed the packet: its payload leaves NIC memory.
-        self.resident_payload -= self.packets[idx].len;
+        self.resident_payload -= self.msgs[m].packets[idx].len;
         self.tel.gauge(
             "spin",
             "nic_mem_bytes",
@@ -659,50 +859,38 @@ impl World {
             (self.nic_mem + self.resident_payload) as f64,
         );
         if self.dma.eager {
-            self.eager_dma_batch(sim.now(), &mut dma);
-            dma.clear();
+            self.eager_dma_batch(sim.now(), m, &mut dma);
         } else {
             for w in dma.drain(..) {
-                self.enqueue_dma(sim, w);
+                self.enqueue_dma(sim, m, w);
             }
         }
+        let st = &mut self.msgs[m];
         // Hand the emptied scratch vector back to the strategy so the
         // next handler invocation reuses its capacity.
-        self.proc.recycle_dma(dma);
-        self.sched.done(vhpu, hpu);
-        self.pending_payload -= 1;
-        if self.pending_payload == 0 && !self.completion_dispatched {
-            self.completion_dispatched = true;
-            let dispatch = self.params.sched_dispatch;
-            sim.schedule_in(dispatch, |w, s| {
-                let out = w.proc.on_completion();
-                let runtime = out.cost.total();
-                s.schedule_in(runtime, move |w2, s2| {
-                    for wr in out.dma {
-                        w2.enqueue_dma(s2, wr);
-                    }
-                });
-            });
+        st.proc.as_deref_mut().expect(LIVE).recycle_dma(dma);
+        self.sched.done(key, hpu);
+        st.pending -= 1;
+        if st.pending == 0 && !st.completion_dispatched {
+            st.completion_dispatched = true;
+            sim.schedule_call_in(self.params.sched_dispatch, ev_completion::<S>, m as u64, 0);
         }
         self.try_dispatch(sim);
     }
 
-    fn enqueue_dma(&mut self, sim: &mut Sim<World>, w: DmaWrite) {
+    fn enqueue_dma(&mut self, sim: &mut Sim<Self>, m: usize, w: DmaWrite) {
         if self.dma.eager {
-            self.eager_dma(sim.now(), &w);
+            self.eager_dma(sim.now(), m, &w);
             return;
         }
-        self.dma.queue.push(sim.now(), w);
+        self.dma.queue.push(sim.now(), (m, w));
         // Sampled at exactly the FIFO's own history points (occupancy
         // after the push/pop) so a trace-driven Fig. 15 reproduces
         // `dma_history` sample for sample.
-        self.tel.gauge(
-            "spin",
-            "dma_queue",
-            0,
-            sim.now(),
-            self.dma.queue.len() as f64,
-        );
+        let depth = self.dma.queue.len();
+        self.tel
+            .gauge("spin", "dma_queue", 0, sim.now(), depth as f64);
+        self.src.trace_dma_queue(sim.now(), depth);
         self.kick_dma(sim);
     }
 
@@ -715,24 +903,24 @@ impl World {
     /// `kick_dma` Portals-ordering guard). The occupancy model replays
     /// queue-leave (service-start) times against push times so
     /// `dma_max_queue` matches the event-driven engine.
-    fn eager_dma(&mut self, now: Time, w: &DmaWrite) {
+    fn eager_dma(&mut self, now: Time, m: usize, w: &DmaWrite) {
         let land = self.eager_schedule(now, w);
-        self.dma_landed(land, w);
+        self.dma_landed(land, m, w);
     }
 
     /// Batched variant for a handler's whole write list: one profiled
     /// pass copies all landed bytes, with no per-write event machinery.
-    fn eager_dma_batch(&mut self, now: Time, writes: &mut Vec<DmaWrite>) {
+    fn eager_dma_batch(&mut self, now: Time, m: usize, writes: &mut Vec<DmaWrite>) {
         let _phase = nca_sim::profile::enter(nca_sim::profile::Phase::DmaCopy);
         for w in writes.drain(..) {
             let land = self.eager_schedule(now, &w);
             if !w.data.is_empty() {
-                let start = (w.host_off - self.host_origin) as usize;
-                nca_ddt::kernels::copy_block(&mut self.host_buf, start, &w.data, 0, w.data.len());
+                let st = &mut self.msgs[m];
+                let start = (w.host_off - st.host_origin) as usize;
+                nca_ddt::kernels::copy_block(&mut st.host_buf, start, &w.data, 0, w.data.len());
             }
             if w.event {
-                self.t_complete = Some(land);
-                self.tel.instant("spin", "message_complete", 0, land);
+                self.complete(m, land);
             }
         }
     }
@@ -766,128 +954,141 @@ impl World {
         start + service + self.params.pcie_latency
     }
 
-    fn kick_dma(&mut self, sim: &mut Sim<World>) {
+    fn kick_dma(&mut self, sim: &mut Sim<Self>) {
         while let Some(chan) = self.dma.free_channel() {
             // The event-generating completion write must land after all
             // data writes: dispatch it only once every channel is idle
             // and it is alone in the queue (Portals ordering guarantee).
-            if let Some(front) = self.dma.queue.front() {
+            if let Some((_, front)) = self.dma.queue.front() {
                 if front.event && self.dma.busy_count() > 0 {
                     return;
                 }
             }
-            let Some(w) = self.dma.queue.pop(sim.now()) else {
+            let now = sim.now();
+            let Some((m, w)) = self.dma.queue.pop(now) else {
                 return;
             };
-            self.tel.gauge(
-                "spin",
-                "dma_queue",
-                0,
-                sim.now(),
-                self.dma.queue.len() as f64,
-            );
+            let depth = self.dma.queue.len();
+            self.tel.gauge("spin", "dma_queue", 0, now, depth as f64);
+            self.src.trace_dma_queue(now, depth);
             self.dma.chan_busy[chan] = true;
             let service = self.params.dma_service_time(w.len);
             if self.tel.is_enabled() {
                 self.hist_dma.record(service);
                 // Busy-interval span on the channel's own track (the
                 // Perfetto PCIe-utilization view).
-                self.tel.span(
-                    "spin",
-                    "dma_chan",
-                    chan as u64,
-                    sim.now(),
-                    sim.now() + service,
-                );
+                self.tel
+                    .span("spin", "dma_chan", chan as u64, now, now + service);
             }
-            self.dma.chan_slot[chan] = Some(w);
-            sim.schedule_call_in(service, ev_dma_service_done, chan as u64, 0);
+            self.src.trace_dma_chan(chan, now, service);
+            self.dma.chan_slot[chan] = Some((m, w));
+            sim.schedule_call_in(service, ev_dma_service_done::<S>, chan as u64, 0);
         }
     }
 
     /// A channel finished putting its write on the wire. The write lands
-    /// in host memory one PCIe latency later.
-    fn dma_service_done(&mut self, sim: &mut Sim<World>, chan: usize) {
-        let w = self.dma.chan_slot[chan]
+    /// in host memory one PCIe latency later, as its own event: a source
+    /// that admits against completions must see them at landing time.
+    fn dma_service_done(&mut self, sim: &mut Sim<Self>, chan: usize) {
+        let (m, w) = self.dma.chan_slot[chan]
             .take()
             .expect("service-done on idle channel");
         self.dma.chan_busy[chan] = false;
         self.dma.writes += 1;
         self.dma.bytes += w.len;
         let landing = self.params.pcie_latency;
-        if self.tel.is_enabled() {
-            // Telemetry path: keep the landing as its own event so the
-            // per-event probe stream and span timeline stay identical to
-            // the reference pipeline.
-            if w.event {
-                // The completion drain: everything is on the wire, the
-                // run now waits for the final PCIe landing.
-                self.tel.span(
-                    "spin",
-                    "dma_drain",
-                    chan as u64,
-                    sim.now(),
-                    sim.now() + landing,
-                );
-            }
-            sim.schedule_in(landing, move |w2, s2| {
-                let t = s2.now();
-                w2.dma_landed(t, &w);
-            });
-        } else {
-            // Fast path: land the bytes now. Every write's landing time
-            // is its service-done time plus a constant, so landing order
-            // equals service order and the final buffer is byte-identical;
-            // the completion timestamp still accounts the PCIe latency.
-            let t_land = sim.now() + landing;
-            self.dma_landed(t_land, &w);
+        if w.event {
+            // The completion drain: everything is on the wire, the
+            // message now waits for the final PCIe landing.
+            self.tel.span(
+                "spin",
+                "dma_drain",
+                chan as u64,
+                sim.now(),
+                sim.now() + landing,
+            );
         }
+        let slot = self.landing.park((m, w));
+        sim.schedule_call_in(landing, ev_dma_landed::<S>, slot, 0);
         self.kick_dma(sim);
     }
 
-    fn dma_landed(&mut self, t: Time, w: &DmaWrite) {
+    fn dma_landed(&mut self, t: Time, m: usize, w: &DmaWrite) {
         if !w.data.is_empty() {
             let _phase = nca_sim::profile::enter(nca_sim::profile::Phase::DmaCopy);
-            let start = (w.host_off - self.host_origin) as usize;
-            self.host_buf[start..start + w.data.len()].copy_from_slice(&w.data);
+            let st = &mut self.msgs[m];
+            let start = (w.host_off - st.host_origin) as usize;
+            st.host_buf[start..start + w.data.len()].copy_from_slice(&w.data);
         }
         if w.event {
-            // Completion event: the message is fully in the receive buffer.
-            self.t_complete = Some(t);
-            self.tel.instant("spin", "message_complete", 0, t);
+            self.complete(m, t);
+        }
+    }
+
+    /// Message `m`'s completion event: it is fully in the receive buffer.
+    fn complete(&mut self, m: usize, t: Time) {
+        let st = &mut self.msgs[m];
+        st.t_complete = Some(t);
+        self.tel.instant("spin", "message_complete", m as u64, t);
+        self.src.landed(m, t, &st.host_buf);
+        if !S::RETAIN {
+            st.proc = None;
+            st.packets = Vec::new();
+            st.host_buf = PooledBuf::default();
         }
     }
 }
 
-// Allocation-free event bodies for the per-packet hot path (scheduled via
-// `Sim::schedule_call`): a function pointer plus two scalars instead of a
-// boxed closure per event.
+// Allocation-free event bodies (scheduled via `Sim::schedule_call`): a
+// function pointer plus two scalars instead of a boxed closure per event.
 
-fn ev_packet_arrival(w: &mut World, s: &mut Sim<World>, idx: u64, _b: u64) {
-    w.packet_arrival(s, idx as usize);
+fn ev_packet_arrival<S: MessageSource>(w: &mut Nic<S>, s: &mut Sim<Nic<S>>, m: u64, idx: u64) {
+    w.packet_arrival(s, m as usize, idx as usize);
 }
 
-fn ev_her_ready(w: &mut World, s: &mut Sim<World>, idx: u64, _b: u64) {
-    w.her_ready(s, idx as usize);
+fn ev_her_ready<S: MessageSource>(w: &mut Nic<S>, s: &mut Sim<Nic<S>>, m: u64, idx: u64) {
+    w.her_ready(s, m as usize, idx as usize);
 }
 
-fn ev_run_handler(w: &mut World, s: &mut Sim<World>, vhpu: u64, idx_hpu: u64) {
+fn ev_run_handler<S: MessageSource>(w: &mut Nic<S>, s: &mut Sim<Nic<S>>, key: u64, idx_hpu: u64) {
     w.run_handler(
         s,
-        vhpu,
+        key,
         (idx_hpu >> 32) as usize,
         (idx_hpu & 0xFFFF_FFFF) as usize,
     );
 }
 
-fn ev_dma_service_done(w: &mut World, s: &mut Sim<World>, chan: u64, _b: u64) {
+fn ev_handler_done<S: MessageSource>(w: &mut Nic<S>, s: &mut Sim<Nic<S>>, slot: u64, _b: u64) {
+    let (key, idx, hpu, dma) = w.done.take(slot);
+    w.handler_done(s, key, idx, hpu, dma);
+}
+
+/// Every payload handler of message `m` finished: run its completion
+/// handler, whose writes enqueue once its runtime has elapsed.
+fn ev_completion<S: MessageSource>(w: &mut Nic<S>, s: &mut Sim<Nic<S>>, m: u64, _b: u64) {
+    let out = w.msgs[m as usize]
+        .proc
+        .as_deref_mut()
+        .expect(LIVE)
+        .on_completion();
+    let slot = w.finals.park(out.dma);
+    s.schedule_call_in(out.cost.total(), ev_completion_writes::<S>, m, slot);
+}
+
+fn ev_completion_writes<S: MessageSource>(w: &mut Nic<S>, s: &mut Sim<Nic<S>>, m: u64, slot: u64) {
+    for wr in w.finals.take(slot) {
+        w.enqueue_dma(s, m as usize, wr);
+    }
+}
+
+fn ev_dma_service_done<S: MessageSource>(w: &mut Nic<S>, s: &mut Sim<Nic<S>>, chan: u64, _b: u64) {
     w.dma_service_done(s, chan as usize);
 }
 
-fn ev_handler_done(w: &mut World, s: &mut Sim<World>, slot: u64, _b: u64) {
-    let (vhpu, idx, hpu, dma) = w.done_slots[slot as usize].take().expect("armed done slot");
-    w.done_free.push(slot as u32);
-    w.handler_done(s, vhpu, idx, hpu, dma);
+fn ev_dma_landed<S: MessageSource>(w: &mut Nic<S>, s: &mut Sim<Nic<S>>, slot: u64, _b: u64) {
+    let (m, write) = w.landing.take(slot);
+    w.dma_landed(s.now(), m, &write);
 }
 
 /// The receive-pipeline runner.
@@ -906,8 +1107,7 @@ impl ReceiveSim {
         host_span: u64,
         cfg: &RunConfig,
     ) -> RunReport {
-        let packed: WireBuf = packed.into();
-        let params = cfg.params.clone();
+        let params = &cfg.params;
         let faulty = !cfg.faults.is_inert();
         assert!(
             !faulty || cfg.portals.is_none(),
@@ -915,26 +1115,6 @@ impl ReceiveSim {
              assumes the header packet arrives first, which a lossy network \
              cannot guarantee"
         );
-        let mut packets = packetize_wire(0, &packed, params.payload_size);
-        if faulty {
-            // Checksums only matter when the network can corrupt bytes;
-            // the lossless path skips the per-byte FNV pass entirely.
-            stamp_checksums(&mut packets);
-        }
-        let packets = packets;
-        let npkt = packets.len() as u64;
-
-        // Network arrival schedule: serialization at line rate after the
-        // one-way latency; optionally shuffle which payload packet
-        // occupies which serialization slot.
-        let mut order: Vec<usize> = (0..packets.len()).collect();
-        if let Some(seed) = cfg.out_of_order {
-            if packets.len() > 3 {
-                let mut rng = StdRng::seed_from_u64(seed);
-                order[1..packets.len() - 1].shuffle(&mut rng);
-            }
-        }
-
         let strategy_name = proc.name();
         let nic_mem = proc.nic_mem_bytes();
         let host_setup = proc.host_setup_time();
@@ -954,66 +1134,51 @@ impl ReceiveSim {
                 );
             });
         }
-        let eager = match cfg.engine {
+
+        let mut nic = Nic::new(params.clone(), cfg.telemetry.clone(), OneMessage);
+        nic.dma.eager = match cfg.engine {
             EngineMode::Event => false,
             EngineMode::Auto | EngineMode::Eager => !needs_events,
         };
+        nic.dma.queue = TrackedFifo::new(cfg.record_dma_history);
+        nic.nic_mem = nic_mem;
+        if let Some(p) = &cfg.portals {
+            nic.matching = Some(p.matching.clone());
+            nic.match_bits = p.match_bits;
+        }
+        nic.add_message(&packed.into(), proc, host_origin, host_span);
+        if faulty {
+            // Checksums only matter when the network can corrupt bytes;
+            // the lossless path skips the per-byte FNV pass entirely.
+            stamp_checksums(&mut nic.msgs[0].packets);
+        }
+        let npkt = nic.msgs[0].packets.len();
+        nic.rel = faulty.then(|| RelState {
+            injector: FaultInjector::new(cfg.faults),
+            rparams: cfg.reliability.clone(),
+            tx: (0..npkt)
+                .map(|_| TxState {
+                    acked: false,
+                    attempt: 0,
+                    fallback: false,
+                })
+                .collect(),
+            received: vec![false; npkt],
+            stats: ReliabilityStats::default(),
+        });
 
-        let mut world = World {
-            params: params.clone(),
-            packets,
-            packed,
-            proc,
-            sched: Scheduler::new(params.discipline, params.hpus),
-            dma: DmaEngine {
-                queue: TrackedFifo::new(cfg.record_dma_history),
-                chan_busy: vec![false; params.dma_channels.max(1)],
-                chan_slot: (0..params.dma_channels.max(1)).map(|_| None).collect(),
-                eager,
-                free_at: vec![0; params.dma_channels.max(1)],
-                starts: VecDeque::new(),
-                occ: 0,
-                max_occ: 0,
-                writes: 0,
-                bytes: 0,
-            },
-            host_buf: nca_sim::arena::take_zeroed(host_span as usize),
-            host_origin,
-            pending_payload: npkt,
-            completion_dispatched: false,
-            t_complete: None,
-            handler_costs: Vec::with_capacity(npkt as usize),
-            matching: cfg.portals.as_ref().map(|p| p.matching.clone()),
-            match_bits: cfg.portals.as_ref().map(|p| p.match_bits).unwrap_or(0),
-            path: MsgPath::Spin,
-            events: EventQueue::new(),
-            arrived: 0,
-            tel: cfg.telemetry.clone(),
-            enq_time: HashMap::new(),
-            done_slots: Vec::new(),
-            done_free: Vec::new(),
-            hist_handler: LogHistogram::new(),
-            hist_queue_wait: LogHistogram::new(),
-            hist_dma: LogHistogram::new(),
-            nic_mem,
-            resident_payload: 0,
-            resident_hwm: 0,
-            rel: faulty.then(|| RelState {
-                injector: FaultInjector::new(cfg.faults),
-                rparams: cfg.reliability.clone(),
-                tx: (0..npkt)
-                    .map(|_| TxState {
-                        acked: false,
-                        attempt: 0,
-                        fallback: false,
-                    })
-                    .collect(),
-                received: vec![false; npkt as usize],
-                stats: ReliabilityStats::default(),
-            }),
-        };
+        // Network arrival schedule: serialization at line rate after the
+        // one-way latency; optionally shuffle which payload packet
+        // occupies which serialization slot.
+        let mut order: Vec<usize> = (0..npkt).collect();
+        if let Some(seed) = cfg.out_of_order {
+            if npkt > 3 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                order[1..npkt - 1].shuffle(&mut rng);
+            }
+        }
 
-        let mut sim: Sim<World> = Sim::new();
+        let mut sim: Sim<Nic<OneMessage>> = Sim::new();
         if cfg.telemetry.is_enabled() {
             sim.set_probe(Box::new(SimTelemetryProbe::new(
                 cfg.telemetry.clone(),
@@ -1021,55 +1186,42 @@ impl ReceiveSim {
             )));
             // One-shot allocation sample: the strategy's NIC-memory
             // footprint is fixed for the lifetime of the receive.
-            world
-                .tel
-                .gauge("spin", "nic_mem_bytes", 0, 0, nic_mem as f64);
+            nic.tel.gauge("spin", "nic_mem_bytes", 0, 0, nic_mem as f64);
         }
         let t_first_byte = params.net_latency;
         let mut t = t_first_byte;
-        if faulty {
-            // Reliable mode: each serialization slot is a *transmission*
-            // through the fault layer; the retransmission protocol and
-            // receiver dedup guarantee exactly-once processing.
-            let mut slots = Vec::with_capacity(order.len());
-            for &pkt_idx in &order {
-                let wire = params.pkt_wire_time(world.packets[pkt_idx].len);
-                world.tel.span("spin", "wire", 0, t, t + wire);
-                t += wire;
-                slots.push((pkt_idx, t));
-            }
-            for (pkt_idx, at) in slots {
-                world.transmit(&mut sim, pkt_idx, 0, at);
-            }
-        } else {
-            for &pkt_idx in &order {
-                let wire = params.pkt_wire_time(world.packets[pkt_idx].len);
-                world.tel.span("spin", "wire", 0, t, t + wire);
-                t += wire;
-                sim.schedule_call(t, ev_packet_arrival, pkt_idx as u64, 0);
+        let mut slots = Vec::with_capacity(npkt);
+        for &pkt_idx in &order {
+            let wire = params.pkt_wire_time(nic.msgs[0].packets[pkt_idx].len);
+            nic.tel.span("spin", "wire", 0, t, t + wire);
+            t += wire;
+            slots.push((pkt_idx, t));
+        }
+        for (pkt_idx, at) in slots {
+            if faulty {
+                // Reliable mode: each serialization slot is a
+                // *transmission* through the fault layer; the
+                // retransmission protocol and receiver dedup guarantee
+                // exactly-once processing.
+                nic.transmit(&mut sim, pkt_idx, 0, at);
+            } else {
+                Nic::schedule_arrival(&mut sim, 0, pkt_idx, at);
             }
         }
-        sim.run(&mut world);
+        sim.run(&mut nic);
 
-        let t_complete = world.t_complete.unwrap_or_else(|| sim.now());
+        let t_complete = nic.msgs[0].t_complete.unwrap_or_else(|| sim.now());
         // Emit the accumulated distributions as single mergeable events
         // so percentiles survive however much the ring evicted.
-        if world.tel.is_enabled() {
-            world
-                .tel
-                .histogram("spin", "handler_ps", 0, t_complete, &world.hist_handler);
-            world.tel.histogram(
-                "spin",
-                "queue_wait_ps",
-                0,
-                t_complete,
-                &world.hist_queue_wait,
-            );
-            world
-                .tel
-                .histogram("spin", "dma_service_ps", 0, t_complete, &world.hist_dma);
+        if nic.tel.is_enabled() {
+            nic.tel
+                .histogram("spin", "handler_ps", 0, t_complete, &nic.hist_handler);
+            nic.tel
+                .histogram("spin", "queue_wait_ps", 0, t_complete, &nic.hist_queue_wait);
+            nic.tel
+                .histogram("spin", "dma_service_ps", 0, t_complete, &nic.hist_dma);
         }
-        let rel = match world.rel.take() {
+        let rel = match nic.rel.take() {
             Some(r) => ReliabilityStats {
                 delivered_exactly_once: r.received.iter().all(|&x| x),
                 ..r.stats
@@ -1079,24 +1231,27 @@ impl ReceiveSim {
                 ..ReliabilityStats::default()
             },
         };
+        let dma_max_queue = nic.dma.queue.max_occupancy().max(nic.dma.max_occ);
+        let dma_history = nic.dma.queue.take_history();
+        let msg = nic.msgs.pop().expect("one message");
         RunReport {
             strategy: strategy_name,
-            msg_bytes: world.packed.len() as u64,
-            npkt,
+            msg_bytes: msg.bytes,
+            npkt: npkt as u64,
             t_first_byte,
             t_complete,
-            host_buf: world.host_buf,
+            host_buf: msg.host_buf,
             host_origin,
-            dma_writes: world.dma.writes,
-            dma_bytes: world.dma.bytes,
-            dma_max_queue: world.dma.queue.max_occupancy().max(world.dma.max_occ),
-            dma_history: world.dma.queue.take_history(),
-            handler_costs: world.handler_costs,
+            dma_writes: nic.dma.writes,
+            dma_bytes: nic.dma.bytes,
+            dma_max_queue,
+            dma_history,
+            handler_costs: msg.handler_costs,
             nic_mem_bytes: nic_mem,
-            nic_mem_hwm_bytes: nic_mem + world.resident_hwm,
+            nic_mem_hwm_bytes: nic_mem + nic.resident_hwm,
             host_setup_time: host_setup,
-            path: world.path,
-            events: world.events.into_all(),
+            path: msg.path,
+            events: nic.events.into_all(),
             rel,
             eager_fallback,
         }

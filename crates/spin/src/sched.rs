@@ -1,9 +1,8 @@
 //! Pluggable HPU queueing disciplines.
 //!
-//! The receive pipelines (single-message [`crate::nic`], concurrent
-//! [`crate::multi`], and the open-loop traffic engine) all funnel ready
-//! handlers through one scheduler that multiplexes work onto the
-//! physical HPUs. Historically that scheduler was hard-wired to the
+//! The receive core ([`crate::nic::Nic`]) funnels the ready handlers of
+//! every in-flight message, whichever source admitted it, through one
+//! scheduler that multiplexes work onto the physical HPUs. Historically that scheduler was hard-wired to the
 //! paper's blocked round-robin semantics; under multi-tenant load the
 //! choice of discipline dominates tail latency, so it is now pluggable:
 //!
@@ -20,9 +19,9 @@
 //!   traffic engine). Cache-friendly and synchronization-free on real
 //!   hardware, but hash imbalance shows up directly in the tail.
 //!
-//! The scheduler is generic over the queue key `K` — the single-message
-//! pipeline keys by vHPU id, the concurrent pipelines by
-//! `(message, vHPU)`.
+//! The scheduler is generic over the queue key `K`; the receive core
+//! packs `(message, vHPU)` into one `u64`, which for a one-message
+//! receive is the bare vHPU id.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 

@@ -5,9 +5,10 @@
 //! message mix over application datatypes, and a strategy; the engine
 //! offers messages open-loop (arrivals do not wait for completions),
 //! admits them against the NIC packet-buffer budget, serializes
-//! admitted packets onto the shared ingress link, and runs the full
-//! receive pipeline — inbound engine, pluggable-discipline HPU
-//! scheduler, real handler execution, DMA/PCIe — to completion.
+//! admitted packets onto the shared ingress link, and runs them through
+//! the sPIN receive core ([`nca_spin::nic::Nic`]) — inbound engine,
+//! pluggable-discipline HPU scheduler, real handler execution, DMA/PCIe
+//! — to completion. The cell is that core's message source.
 //!
 //! Overload shows up as admission rejections: a rejected offer backs
 //! off (capped exponential + seeded jitter, the same policy the
@@ -23,11 +24,10 @@ use std::collections::HashMap;
 
 use nca_core::runner::Strategy;
 use nca_ddt::pack::{buffer_span, pack, unpack};
-use nca_portals::packet::{packetize_wire, Packet};
-use nca_sim::{FaultInjector, FaultSpec, Sim, Time, TrackedFifo, WireBuf};
-use nca_spin::handler::{DmaWrite, MessageProcessor};
+use nca_sim::{FaultInjector, FaultSpec, Sim, Time, WireBuf};
+use nca_spin::nic::{MessageSource, Nic};
 use nca_spin::params::{NicParams, ReliabilityParams};
-use nca_spin::sched::{QueueDiscipline, Scheduler};
+use nca_spin::sched::QueueDiscipline;
 use nca_telemetry::hist::LogHistogram;
 use nca_telemetry::Telemetry;
 use nca_workloads::apps::AppWorkload;
@@ -263,20 +263,21 @@ fn packed_message(dt: &nca_ddt::types::Datatype, count: u32) -> Vec<u8> {
     pack(dt, count, &src, origin).expect("packable")
 }
 
-struct MsgState {
+/// An admitted message's accounting tags (index = the core's message
+/// index).
+struct Admitted {
     tenant: usize,
     wl: usize,
     flow: u64,
     offered_at: Time,
-    packets: Vec<Packet>,
-    proc: Box<dyn MessageProcessor>,
-    host_buf: Vec<u8>,
-    host_origin: i64,
-    pending_payload: u64,
-    completion_dispatched: bool,
 }
 
-struct TrafficWorld {
+/// One traffic cell: the message source in front of the receive core.
+/// It offers the seeded schedule open-loop, admits against the packet
+/// buffer, serializes admitted packets onto the shared ingress link,
+/// steers flows through the RSS table and accounts completions per
+/// tenant.
+struct Cell {
     params: NicParams,
     rel: ReliabilityParams,
     /// Seeded jitter source for admission-retry backoff (the fault
@@ -290,16 +291,13 @@ struct TrafficWorld {
     strategies: Vec<Strategy>,
     schedule: Vec<ScheduledMsg>,
     rss: IndirectionTable,
-    msgs: Vec<MsgState>,
-    sched: Scheduler<(usize, u64)>,
+    admitted: Vec<Admitted>,
     /// When each physical HPU slot frees up, for span attribution.
     /// Blocked-RR and cFCFS schedule against an anonymous free-HPU
     /// *count* (their [`Dispatch::hpu`] is always 0), so the busy
     /// series assigns each handler the lowest slot free at dispatch;
     /// dFCFS binds real HPU indices and bypasses this.
     hpu_busy_until: Vec<Time>,
-    dma_queue: TrackedFifo<(usize, DmaWrite)>,
-    dma_chan_busy: Vec<bool>,
     link_free: Time,
     inflight_bytes: u64,
     stats: Vec<TenantStats>,
@@ -310,133 +308,34 @@ struct TrafficWorld {
     tel: Telemetry,
 }
 
-impl TrafficWorld {
-    fn offer(&mut self, sim: &mut Sim<TrafficWorld>, sched_idx: usize, attempt: u32) {
-        let m = self.schedule[sched_idx];
-        let wl = self.mix_slot[m.tenant][m.mix_idx];
-        let bytes = self.cache[wl].packed.len() as u64;
-        if self.inflight_bytes + bytes > self.params.pkt_buffer_bytes {
-            // Admission rejection: the NIC's packet buffer cannot hold
-            // another in-flight message. Back off and re-offer.
-            self.stats[m.tenant].dropped += 1;
-            self.tel
-                .counter("traffic", "dropped", m.tenant as u64, sim.now(), 1);
-            if attempt < self.rel.max_retries {
-                self.stats[m.tenant].retried += 1;
-                let shift = attempt.min(self.rel.backoff_cap);
-                let backoff = (self.rel.rto << shift).min(self.rel.rto_max.max(self.rel.rto));
-                let jitter =
-                    self.jitter_src
-                        .jitter(sched_idx as u64, 0, attempt, self.rel.rto_jitter);
-                sim.schedule_in(backoff + jitter, move |w, s| {
-                    w.offer(s, sched_idx, attempt + 1)
-                });
-            } else {
-                self.stats[m.tenant].lost += 1;
-                self.tel
-                    .counter("traffic", "lost", m.tenant as u64, sim.now(), 1);
-            }
+impl MessageSource for Cell {
+    const RETAIN: bool = false;
+
+    fn steer(&self, m: usize, _vhpu: u64) -> usize {
+        let a = &self.admitted[m];
+        self.rss.hpu_for(flow_hash(a.tenant, a.flow))
+    }
+
+    fn landed(&mut self, m: usize, t: Time, buf: &[u8]) {
+        let a = &self.admitted[m];
+        let c = &self.cache[a.wl];
+        if self.verify && buf != c.expect {
+            self.byte_exact = false;
+        }
+        let stats = &mut self.stats[a.tenant];
+        stats.completed += 1;
+        stats.bytes_completed += c.packed.len() as u64;
+        stats.latency.record(t.saturating_sub(a.offered_at));
+        self.inflight_bytes -= c.packed.len() as u64;
+        self.tel
+            .counter("traffic", "completed", a.tenant as u64, t, 1);
+        self.t_end = self.t_end.max(t);
+    }
+
+    fn trace_handler(&mut self, hpu: usize, now: Time, runtime: Time) {
+        if !self.tel.is_enabled() {
             return;
         }
-        self.admit(sim, sched_idx);
-    }
-
-    fn admit(&mut self, sim: &mut Sim<TrafficWorld>, sched_idx: usize) {
-        let m = self.schedule[sched_idx];
-        let wl = self.mix_slot[m.tenant][m.mix_idx];
-        let run = self.msgs.len();
-        let (proc, packed, span, origin) = {
-            let c = &self.cache[wl];
-            let proc = self.strategies[m.tenant].build(
-                &c.dt,
-                c.count,
-                self.params.clone(),
-                self.epsilon,
-                Telemetry::disabled(),
-            );
-            (proc, c.packed.clone(), c.span, c.origin)
-        };
-        let packets = packetize_wire(run as u64, &packed, self.params.payload_size);
-        self.inflight_bytes += packed.len() as u64;
-        self.stats[m.tenant].admitted += 1;
-        self.tel
-            .counter("traffic", "admitted", m.tenant as u64, sim.now(), 1);
-        self.tel.gauge(
-            "traffic",
-            "inflight_bytes",
-            0,
-            sim.now(),
-            self.inflight_bytes as f64,
-        );
-        // Serialize onto the shared ingress link FIFO from now (or from
-        // whenever the link frees up).
-        let now = sim.now();
-        let mut begin = self.link_free.max(now);
-        for (i, pkt) in packets.iter().enumerate() {
-            let end = begin + self.params.pkt_wire_time(pkt.len);
-            let at = end + self.params.net_latency;
-            sim.schedule(at, move |w, s| w.packet_arrival(s, run, i));
-            begin = end;
-        }
-        self.link_free = begin;
-        self.msgs.push(MsgState {
-            tenant: m.tenant,
-            wl,
-            flow: m.flow,
-            offered_at: m.arrival_ps,
-            pending_payload: packets.len() as u64,
-            packets,
-            proc,
-            host_buf: vec![0u8; span as usize],
-            host_origin: origin,
-            completion_dispatched: false,
-        });
-    }
-
-    fn packet_arrival(&mut self, sim: &mut Sim<TrafficWorld>, run: usize, idx: usize) {
-        let len = self.msgs[run].packets[idx].len;
-        let inbound = self.params.nic_passthrough + self.params.nicmem_copy_time(len);
-        sim.schedule_in(inbound, move |w, s| w.her_ready(s, run, idx));
-    }
-
-    fn her_ready(&mut self, sim: &mut Sim<TrafficWorld>, run: usize, idx: usize) {
-        let st = &self.msgs[run];
-        let seq = st.packets[idx].seq;
-        let vhpu = st.proc.policy().vhpu_of(seq);
-        let hint = self.rss.hpu_for(flow_hash(st.tenant, st.flow));
-        self.sched.enqueue((run, vhpu), idx, hint);
-        self.try_dispatch(sim);
-    }
-
-    fn try_dispatch(&mut self, sim: &mut Sim<TrafficWorld>) {
-        while let Some(d) = self.sched.next_dispatch() {
-            let (key, idx, hpu) = (d.key, d.pkt, d.hpu);
-            let dispatch = self.params.sched_dispatch;
-            sim.schedule_in(dispatch, move |w, s| w.run_handler(s, key, idx, hpu));
-        }
-    }
-
-    fn run_handler(
-        &mut self,
-        sim: &mut Sim<TrafficWorld>,
-        key: (usize, u64),
-        idx: usize,
-        hpu: usize,
-    ) {
-        let (run, vhpu) = key;
-        let st = &mut self.msgs[run];
-        let hdr = st.packets[idx].hdr;
-        let mut ctx = nca_spin::handler::PacketCtx {
-            payload: &st.packets[idx].payload,
-            stream_offset: hdr.offset,
-            seq: hdr.seq,
-            npkt: st.packets.len() as u64,
-            vhpu,
-            now: sim.now(),
-            direct: None,
-        };
-        let out = st.proc.on_payload(&mut ctx);
-        let runtime = out.cost.total();
         // Track the span by *physical* HPU — the busy resource the
         // utilization block reports on (vHPUs are per-message virtual).
         // dFCFS dispatches carry a real HPU binding; the pool
@@ -444,7 +343,6 @@ impl TrafficWorld {
         // the lowest slot free at dispatch — handlers are
         // non-preemptive with runtime known up front, so slot occupancy
         // is a pure function of sim time and stays deterministic.
-        let now = sim.now();
         let slot = if self.params.discipline == QueueDiscipline::DFcfs {
             hpu
         } else {
@@ -458,120 +356,82 @@ impl TrafficWorld {
         };
         self.tel
             .span("traffic", "handler", slot as u64, now, now + runtime);
-        sim.schedule_in(runtime, move |w, s| w.handler_done(s, key, hpu, out.dma));
     }
 
-    fn handler_done(
-        &mut self,
-        sim: &mut Sim<TrafficWorld>,
-        key: (usize, u64),
-        hpu: usize,
-        dma: Vec<DmaWrite>,
-    ) {
-        let (run, _) = key;
-        for w in dma {
-            self.enqueue_dma(sim, run, w);
-        }
-        self.sched.done(key, hpu);
-        self.msgs[run].pending_payload -= 1;
-        if self.msgs[run].pending_payload == 0 && !self.msgs[run].completion_dispatched {
-            self.msgs[run].completion_dispatched = true;
-            let dispatch = self.params.sched_dispatch;
-            sim.schedule_in(dispatch, move |w, s| {
-                let out = w.msgs[run].proc.on_completion();
-                let runtime = out.cost.total();
-                s.schedule_in(runtime, move |w2, s2| {
-                    for wr in out.dma {
-                        w2.enqueue_dma(s2, run, wr);
-                    }
-                });
-            });
-        }
-        self.try_dispatch(sim);
+    fn trace_dma_queue(&self, now: Time, depth: usize) {
+        self.tel.gauge("traffic", "dma_queue", 0, now, depth as f64);
     }
 
-    fn enqueue_dma(&mut self, sim: &mut Sim<TrafficWorld>, run: usize, w: DmaWrite) {
-        self.dma_queue.push(sim.now(), (run, w));
-        self.tel.gauge(
-            "traffic",
-            "dma_queue",
-            0,
-            sim.now(),
-            self.dma_queue.len() as f64,
-        );
-        self.kick_dma(sim);
-    }
-
-    fn kick_dma(&mut self, sim: &mut Sim<TrafficWorld>) {
-        while let Some(chan) = self.dma_chan_busy.iter().position(|&b| !b) {
-            if let Some((_, front)) = self.dma_queue.front() {
-                // Event writes must not overtake in-flight data writes.
-                if front.event && self.dma_chan_busy.iter().any(|&b| b) {
-                    return;
-                }
-            }
-            let Some((run, w)) = self.dma_queue.pop(sim.now()) else {
-                return;
-            };
-            self.dma_chan_busy[chan] = true;
-            let service = self.params.dma_service_time(w.len);
-            let landing = self.params.pcie_latency;
-            self.tel.gauge(
-                "traffic",
-                "dma_queue",
-                0,
-                sim.now(),
-                self.dma_queue.len() as f64,
-            );
-            self.tel.span(
-                "traffic",
-                "dma_chan",
-                chan as u64,
-                sim.now(),
-                sim.now() + service,
-            );
-            sim.schedule_in(service, move |world, s| {
-                world.dma_chan_busy[chan] = false;
-                s.schedule_in(landing, move |w2, s2| {
-                    let t = s2.now();
-                    w2.dma_landed(t, run, &w);
-                });
-                world.kick_dma(s);
-            });
-        }
-    }
-
-    fn dma_landed(&mut self, t: Time, run: usize, w: &DmaWrite) {
-        let st = &mut self.msgs[run];
-        if !w.data.is_empty() {
-            let _phase = nca_sim::profile::enter(nca_sim::profile::Phase::DmaCopy);
-            let start = (w.host_off - st.host_origin) as usize;
-            st.host_buf[start..start + w.data.len()].copy_from_slice(&w.data);
-        }
-        if w.event {
-            self.complete(t, run);
-        }
-    }
-
-    fn complete(&mut self, t: Time, run: usize) {
-        let st = &mut self.msgs[run];
-        let c = &self.cache[st.wl];
-        if self.verify && st.host_buf != c.expect {
-            self.byte_exact = false;
-        }
-        let stats = &mut self.stats[st.tenant];
-        stats.completed += 1;
-        stats.bytes_completed += c.packed.len() as u64;
-        stats.latency.record(t.saturating_sub(st.offered_at));
-        self.inflight_bytes -= c.packed.len() as u64;
+    fn trace_dma_chan(&self, chan: usize, now: Time, service: Time) {
         self.tel
-            .counter("traffic", "completed", st.tenant as u64, t, 1);
-        self.t_end = self.t_end.max(t);
-        // The buffer and packets are dead weight from here; a soak run
-        // admits tens of thousands of messages.
-        st.host_buf = Vec::new();
-        st.packets = Vec::new();
+            .span("traffic", "dma_chan", chan as u64, now, now + service);
     }
+}
+
+/// Offer `attempt` of schedule entry `i`: admit it, or back off and
+/// re-offer while the retry budget lasts.
+fn ev_offer(w: &mut Nic<Cell>, s: &mut Sim<Nic<Cell>>, i: u64, attempt: u64) {
+    let c = &mut w.src;
+    let m = c.schedule[i as usize];
+    let wl = c.mix_slot[m.tenant][m.mix_idx];
+    let bytes = c.cache[wl].packed.len() as u64;
+    if c.inflight_bytes + bytes > c.params.pkt_buffer_bytes {
+        // Admission rejection: the NIC's packet buffer cannot hold
+        // another in-flight message. Back off and re-offer.
+        c.stats[m.tenant].dropped += 1;
+        c.tel
+            .counter("traffic", "dropped", m.tenant as u64, s.now(), 1);
+        let attempt = attempt as u32;
+        if attempt < c.rel.max_retries {
+            c.stats[m.tenant].retried += 1;
+            let shift = attempt.min(c.rel.backoff_cap);
+            let backoff = (c.rel.rto << shift).min(c.rel.rto_max.max(c.rel.rto));
+            let jitter = c.jitter_src.jitter(i, 0, attempt, c.rel.rto_jitter);
+            s.schedule_call_in(backoff + jitter, ev_offer, i, attempt as u64 + 1);
+        } else {
+            c.stats[m.tenant].lost += 1;
+            c.tel
+                .counter("traffic", "lost", m.tenant as u64, s.now(), 1);
+        }
+        return;
+    }
+    let wc = &c.cache[wl];
+    let proc = c.strategies[m.tenant].build(
+        &wc.dt,
+        wc.count,
+        c.params.clone(),
+        c.epsilon,
+        Telemetry::disabled(),
+    );
+    let (packed, origin, span) = (wc.packed.clone(), wc.origin, wc.span);
+    c.inflight_bytes += bytes;
+    c.stats[m.tenant].admitted += 1;
+    c.tel
+        .counter("traffic", "admitted", m.tenant as u64, s.now(), 1);
+    c.tel.gauge(
+        "traffic",
+        "inflight_bytes",
+        0,
+        s.now(),
+        c.inflight_bytes as f64,
+    );
+    c.admitted.push(Admitted {
+        tenant: m.tenant,
+        wl,
+        flow: m.flow,
+        offered_at: m.arrival_ps,
+    });
+    let run = w.add_message(&packed, proc, origin, span);
+    // Serialize onto the shared ingress link FIFO from now (or from
+    // whenever the link frees up).
+    let p = &w.src.params;
+    let mut begin = w.src.link_free.max(s.now());
+    for (idx, pkt) in w.packets(run).iter().enumerate() {
+        let end = begin + p.pkt_wire_time(pkt.len);
+        Nic::schedule_arrival(s, run, idx, end + p.net_latency);
+        begin = end;
+    }
+    w.src.link_free = begin;
 }
 
 /// Run one traffic cell to completion (no trace).
@@ -629,7 +489,7 @@ pub fn run_traffic_with(cfg: &TrafficConfig, tel: &Telemetry) -> TrafficRunResul
     for m in &schedule {
         stats[m.tenant].offered += 1;
     }
-    let mut world = TrafficWorld {
+    let cell = Cell {
         params: cfg.params.clone(),
         rel: cfg.reliability.clone(),
         jitter_src: FaultInjector::new(FaultSpec::inert().with_seed(splitmix64(cfg.seed ^ 0x7261))),
@@ -640,11 +500,8 @@ pub fn run_traffic_with(cfg: &TrafficConfig, tel: &Telemetry) -> TrafficRunResul
         strategies: cfg.tenants.iter().map(|t| t.strategy).collect(),
         schedule: schedule.clone(),
         rss: IndirectionTable::new(cfg.rss_entries, cfg.params.hpus),
-        msgs: Vec::new(),
-        sched: Scheduler::new(cfg.params.discipline, cfg.params.hpus),
+        admitted: Vec::new(),
         hpu_busy_until: vec![0; cfg.params.hpus.max(1)],
-        dma_queue: TrackedFifo::new(false),
-        dma_chan_busy: vec![false; cfg.params.dma_channels.max(1)],
         link_free: 0,
         inflight_bytes: 0,
         stats,
@@ -652,12 +509,15 @@ pub fn run_traffic_with(cfg: &TrafficConfig, tel: &Telemetry) -> TrafficRunResul
         t_end: cfg.horizon_ps,
         tel: tel.clone(),
     };
-    let mut sim: Sim<TrafficWorld> = Sim::new();
+    // The core's own `spin` trace stays off: a cell traces the
+    // `traffic` family through its source hooks.
+    let mut nic = Nic::new(cfg.params.clone(), Telemetry::disabled(), cell);
+    let mut sim: Sim<Nic<Cell>> = Sim::new();
     for (i, m) in schedule.iter().enumerate() {
-        let at = m.arrival_ps;
-        sim.schedule(at, move |w, s| w.offer(s, i, 0));
+        sim.schedule_call(m.arrival_ps, ev_offer, i as u64, 0);
     }
-    sim.run(&mut world);
+    sim.run(&mut nic);
+    let world = nic.src;
     debug_assert_eq!(world.inflight_bytes, 0, "all admitted work must drain");
     for (t, st) in world.stats.iter().enumerate() {
         if st.latency.count() > 0 {
