@@ -3,7 +3,7 @@
 //! the metrics every figure harness consumes.
 
 use nca_ddt::dataloop::compile_cached;
-use nca_ddt::pack::{buffer_span, pack, unpack};
+use nca_ddt::pack::{buffer_span, pack_pattern, unpack};
 use nca_ddt::types::Datatype;
 use nca_sim::{FaultSpec, Pool, Time, WireBuf};
 use nca_spin::builtin::ContigProcessor;
@@ -188,14 +188,11 @@ impl Experiment {
         }
     }
 
-    /// Packed message bytes for this experiment (deterministic pattern).
+    /// Packed message bytes for this experiment (the deterministic
+    /// pattern of [`pack_pattern`]).
     pub fn packed_message(&self) -> Vec<u8> {
         let _phase = nca_sim::profile::enter(nca_sim::profile::Phase::Alloc);
-        let (origin, span) = buffer_span(&self.dt, self.count);
-        let src: Vec<u8> = (0..span as usize)
-            .map(|i| (i.wrapping_mul(31) % 251) as u8)
-            .collect();
-        pack(&self.dt, self.count, &src, origin).expect("packable")
+        pack_pattern(&self.dt, self.count)
     }
 
     /// Average contiguous regions per packet (the paper's γ).

@@ -1,10 +1,10 @@
 //! Pack/unpack built on the segment engine — the host-side reference
 //! implementation (what `MPI_Pack`/`MPI_Unpack`/`MPIT_Type_memcpy` do).
 
-use crate::dataloop::compile;
+use crate::dataloop::{compile, compile_cached};
 use crate::error::{DdtError, Result};
 use crate::segment::{SegStats, Segment};
-use crate::sink::{CopySink, PackSink};
+use crate::sink::{BlockSink, CopySink, PackSink};
 use crate::types::Datatype;
 
 /// Byte span a buffer must cover to hold `count` copies of `dt`:
@@ -40,6 +40,59 @@ pub fn pack(dt: &Datatype, count: u32, src: &[u8], origin: i64) -> Result<Vec<u8
     };
     seg.advance(u64::MAX, &mut sink);
     Ok(out)
+}
+
+/// Period of the payload pattern [`pack_pattern`] generates.
+const PERIOD: usize = 251;
+
+/// Two periods of the payload pattern `i * 31 % 251`: a run of up to one
+/// period that starts anywhere in the first period is one slice.
+const PATTERN: [u8; 2 * PERIOD] = {
+    let mut t = [0u8; 2 * PERIOD];
+    let mut i = 0;
+    while i < t.len() {
+        t[i] = (i * 31 % PERIOD) as u8;
+        i += 1;
+    }
+    t
+};
+
+/// Pack sink whose source buffer is the implicit pattern: buffer offset
+/// `origin + i` holds `PATTERN[i % PERIOD]`.
+struct PatternSink {
+    origin: i64,
+    out: Vec<u8>,
+}
+
+impl BlockSink for PatternSink {
+    #[inline]
+    fn block(&mut self, buf_off: i64, len: u64, _stream_off: u64) {
+        let mut p = (buf_off - self.origin).rem_euclid(PERIOD as i64) as usize;
+        let mut len = len as usize;
+        while len > 0 {
+            let n = len.min(PERIOD);
+            self.out.extend_from_slice(&PATTERN[p..p + n]);
+            p = (p + n) % PERIOD;
+            len -= n;
+        }
+    }
+}
+
+/// The packed message every simulated sender transmits: `count` copies
+/// of `dt` packed from a buffer whose byte `i` (counted from the span's
+/// origin) is `i * 31 % 251`. Equals
+/// `pack(dt, count, &pattern, origin)` with `(origin, span) =
+/// buffer_span(dt, count)`, but only the bytes the message carries are
+/// generated, so a sparse type costs its size rather than its span.
+pub fn pack_pattern(dt: &Datatype, count: u32) -> Vec<u8> {
+    let (origin, _) = buffer_span(dt, count);
+    let dl = compile_cached(dt, count);
+    let mut sink = PatternSink {
+        origin,
+        out: Vec::with_capacity(dl.size as usize),
+    };
+    Segment::new(dl).advance(u64::MAX, &mut sink);
+    sink.out
 }
 
 /// Unpack a full packed stream into `dst` (`dst[0]` ↔ buffer offset

@@ -10,11 +10,11 @@ use proptest::prelude::*;
 use nca_ddt::checkpoint::CheckpointTable;
 use nca_ddt::dataloop::compile;
 use nca_ddt::normalize::normalize;
-use nca_ddt::pack::{buffer_span, pack, unpack, unpack_partial};
+use nca_ddt::pack::{buffer_span, pack, pack_pattern, unpack, unpack_partial};
 use nca_ddt::segment::Segment;
 use nca_ddt::sink::{NullSink, VecSink};
 use nca_ddt::typemap;
-use nca_ddt::types::{elem, Datatype, DatatypeExt};
+use nca_ddt::types::{elem, ArrayOrder, Datatype, DatatypeExt};
 
 /// A strategy producing random (but bounded) datatype trees.
 fn arb_datatype() -> impl Strategy<Value = Datatype> {
@@ -81,8 +81,43 @@ fn pattern(len: usize, seed: u8) -> Vec<u8> {
         .collect()
 }
 
+/// The source buffer [`pack_pattern`] stands for: byte `i` of the span
+/// is `i * 31 % 251`.
+fn pattern31(len: usize) -> Vec<u8> {
+    (0..len).map(|i| (i * 31 % 251) as u8).collect()
+}
+
+/// `pack_pattern` against `pack` over the materialized pattern.
+fn pack_pattern_matches_pack(dt: &Datatype, count: u32) -> bool {
+    let (origin, span) = buffer_span(dt, count);
+    pack_pattern(dt, count) == pack(dt, count, &pattern31(span as usize), origin).unwrap()
+}
+
+#[test]
+fn pack_pattern_matches_pack_fixed_cases() {
+    // A descending vector: the span's origin is negative.
+    let desc = Datatype::vector(5, 2, -7, &elem::double());
+    assert!(buffer_span(&desc, 1).0 < 0);
+    // A struct of a subarray (one 240 B block) and two ints.
+    let sa =
+        Datatype::subarray(&[10, 10], &[3, 10], &[2, 0], ArrayOrder::C, &elem::double()).unwrap();
+    let st = Datatype::struct_(&[1, 2], &[0, 1024], &[sa, elem::int()]).unwrap();
+    // 800 B blocks, each spanning several pattern periods.
+    let long = Datatype::vector(3, 100, 150, &elem::double());
+    for (dt, count) in [(&desc, 1), (&desc, 3), (&st, 1), (&st, 2), (&long, 2)] {
+        assert!(pack_pattern_matches_pack(dt, count), "{}", dt.signature());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn pack_pattern_equals_pack_of_the_pattern(dt in arb_datatype(), count in 1u32..4) {
+        let (_, span) = buffer_span(&dt, count);
+        prop_assume!(span < 1 << 20);
+        prop_assert!(pack_pattern_matches_pack(&dt, count));
+    }
 
     #[test]
     fn size_laws(dt in arb_datatype(), count in 1u32..4) {

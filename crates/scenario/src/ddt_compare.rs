@@ -10,7 +10,7 @@ use std::fmt::Write;
 
 use nca_core::costmodel::HostCostModel;
 use nca_ddt::dataloop::compile_cached;
-use nca_ddt::pack::{buffer_span, pack, unpack};
+use nca_ddt::pack::{buffer_span, pack_pattern, unpack};
 use nca_ddt::typemap::for_each_block;
 use nca_sim::Pool;
 use nca_workloads::apps::all_workloads;
@@ -99,11 +99,7 @@ fn throughput_gbit(bytes: u64, ps: u64) -> f64 {
 
 fn compare_row(w: &nca_workloads::AppWorkload) -> CompareRow {
     let (origin, span) = buffer_span(&w.dt, w.count);
-    let mut src = vec![0u8; span as usize];
-    for (i, b) in src.iter_mut().enumerate() {
-        *b = (i * 31 % 251) as u8;
-    }
-    let packed = pack(&w.dt, w.count, &src, origin).expect("app datatypes pack");
+    let packed = pack_pattern(&w.dt, w.count);
     let mut engine_dst = vec![0u8; span as usize];
     unpack(&w.dt, w.count, &packed, &mut engine_dst, origin).expect("app datatypes unpack");
 

@@ -1,21 +1,26 @@
 //! Per-worker buffer arena: recycled byte buffers for hot allocation sites.
 //!
-//! The packet-path hot loop allocates a handful of large, short-lived
-//! buffers per simulated message — the simulated host receive buffer
-//! (~128 KiB for the bench datatype, i.e. over glibc's mmap threshold, so a
-//! plain `vec![0; span]` costs an mmap + page faults + munmap per run), the
-//! packed-message pattern, and the verification image. Sweeps repeat that
-//! thousands of times per worker.
+//! The packet-path hot loop allocates one large, short-lived buffer per
+//! simulated message: the simulated host receive buffer (~128 KiB for the
+//! bench datatype, i.e. over glibc's mmap threshold, so a plain
+//! `vec![0; span]` costs an mmap + page faults + munmap per run). Sweeps
+//! repeat that thousands of times per worker.
 //!
 //! [`PooledBuf`] is a `Vec<u8>` that returns its storage to a thread-local
 //! free list on drop; [`take_zeroed`] hands it back re-zeroed (a memset,
 //! not a fresh mapping). Pool hits are witnessed by the profiler's `alloc`
 //! phase share in `ncmt_cli profile`.
 //!
+//! Buffers over [`MAX_RETAIN_BYTES`] bypass the pool both ways: drop frees
+//! them, and [`take_zeroed`] returns a fresh zeroed allocation, whose
+//! pages the allocator maps zero-filled on first touch. A sparse datatype
+//! spanning hundreds of MiB then pays only for the pages the NIC writes,
+//! not for a memset of the whole span.
+//!
 //! The pool is strictly thread-local, so the `nca_sim::pool` workers each
 //! get an independent arena and no locks are involved. Bounds: at most
 //! [`MAX_POOLED`] buffers retained per thread, each at most
-//! [`MAX_RETAIN_BYTES`] capacity (larger ones are freed on drop).
+//! [`MAX_RETAIN_BYTES`] capacity.
 
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
@@ -40,12 +45,18 @@ pub struct PooledBuf {
 }
 
 /// Take a buffer of `len` zeroed bytes, reusing pooled storage when a
-/// pooled buffer's capacity suffices.
+/// pooled buffer's capacity suffices. Requests over [`MAX_RETAIN_BYTES`]
+/// get a fresh zeroed allocation and leave the pool untouched.
 pub fn take_zeroed(len: usize) -> PooledBuf {
     let _phase = crate::profile::enter(crate::profile::Phase::Alloc);
+    if len > MAX_RETAIN_BYTES {
+        return PooledBuf {
+            buf: vec![0u8; len],
+        };
+    }
     let mut buf = POOL.with(|p| {
         let mut pool = p.borrow_mut();
-        // Best fit: prefer a buffer that already has the capacity.
+        // First fit: take the first buffer that already has the capacity.
         if let Some(i) = pool.iter().position(|b| b.capacity() >= len) {
             pool.swap_remove(i)
         } else {
@@ -179,6 +190,23 @@ mod tests {
         assert_eq!(a, *v.as_slice());
         let b = a.clone();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn oversized_requests_are_zeroed_and_leave_the_pool_alone() {
+        let small_ptr = {
+            let small = take_zeroed(1024);
+            small.as_ptr()
+        }; // back in the pool
+        let big = take_zeroed(MAX_RETAIN_BYTES + 1);
+        assert_eq!(POOL.with(|p| p.borrow().len()), 1);
+        assert_eq!(big.len(), MAX_RETAIN_BYTES + 1);
+        // Sampled bytes only: a full scan is slow under miri.
+        for i in (0..big.len()).step_by(4093).chain([big.len() - 1]) {
+            assert_eq!(big[i], 0, "byte {i}");
+        }
+        let again = take_zeroed(1024);
+        assert_eq!(again.as_ptr(), small_ptr, "the pooled buffer was consumed");
     }
 
     #[test]

@@ -23,7 +23,7 @@
 use std::collections::HashMap;
 
 use nca_core::runner::Strategy;
-use nca_ddt::pack::{buffer_span, pack, unpack};
+use nca_ddt::pack::{buffer_span, pack_pattern, unpack};
 use nca_sim::{FaultInjector, FaultSpec, Sim, Time, WireBuf};
 use nca_spin::nic::{MessageSource, Nic};
 use nca_spin::params::{NicParams, ReliabilityParams};
@@ -244,23 +244,9 @@ pub fn mean_mix_wire_ps(params: &NicParams, mix: &[AppWorkload]) -> f64 {
     assert!(!mix.is_empty(), "empty tenant mix");
     let total: u128 = mix
         .iter()
-        .map(|w| {
-            let packed = packed_message(&w.dt, w.count);
-            message_wire_ps(params, packed.len() as u64) as u128
-        })
+        .map(|w| message_wire_ps(params, w.msg_bytes()) as u128)
         .sum();
     total as f64 / mix.len() as f64
-}
-
-/// The deterministic packed byte pattern every message of a workload
-/// carries (same generator as `core::runner::Experiment`).
-fn packed_message(dt: &nca_ddt::types::Datatype, count: u32) -> Vec<u8> {
-    let _phase = nca_sim::profile::enter(nca_sim::profile::Phase::Alloc);
-    let (origin, span) = buffer_span(dt, count);
-    let src: Vec<u8> = (0..span as usize)
-        .map(|i| (i.wrapping_mul(31) % 251) as u8)
-        .collect();
-    pack(dt, count, &src, origin).expect("packable")
 }
 
 /// An admitted message's accounting tags (index = the core's message
@@ -463,7 +449,8 @@ pub fn run_traffic_with(cfg: &TrafficConfig, tel: &Telemetry) -> TrafficRunResul
             let label = w.label();
             let slot = *by_label.entry(label).or_insert_with(|| {
                 let (origin, span) = buffer_span(&w.dt, w.count);
-                let packed: WireBuf = packed_message(&w.dt, w.count).into();
+                // The same payload `core::runner::Experiment` sends.
+                let packed: WireBuf = pack_pattern(&w.dt, w.count).into();
                 let mut expect = vec![0u8; span as usize];
                 unpack(&w.dt, w.count, &packed, &mut expect, origin).expect("unpackable");
                 cache.push(CachedWorkload {

@@ -4,6 +4,7 @@
 
 use ncmt::core::runner::{Experiment, Strategy};
 use ncmt::ddt::dataloop::compile;
+use ncmt::ddt::pack::{buffer_span, pack};
 use ncmt::spin::params::NicParams;
 use ncmt::workloads::apps;
 
@@ -37,6 +38,30 @@ fn every_strategy_unpacks_every_small_app_datatype() {
             assert_eq!(r.dma_bytes, w.msg_bytes(), "{} / {}", w.label(), s.label());
         }
     }
+}
+
+#[test]
+fn packed_message_is_the_span_pattern_packed() {
+    // Verification unpacks the very bytes it was handed, so a wrong
+    // payload would pass every receive check: pin the block-wise
+    // generator to `pack` over the materialized span pattern.
+    let mut checked = 0;
+    for w in apps::all_workloads() {
+        let (origin, span) = buffer_span(&w.dt, w.count);
+        if span > 16 << 20 {
+            continue;
+        }
+        let src: Vec<u8> = (0..span as usize).map(|i| (i * 31 % 251) as u8).collect();
+        let exp = Experiment::new(w.dt.clone(), w.count, NicParams::with_hpus(16));
+        assert_eq!(
+            exp.packed_message(),
+            pack(&w.dt, w.count, &src, origin).unwrap(),
+            "{}",
+            w.label()
+        );
+        checked += 1;
+    }
+    assert!(checked >= 30, "only {checked} workloads checked");
 }
 
 #[test]
