@@ -8,7 +8,6 @@ use nca_ddt::types::{elem, Datatype, DatatypeExt};
 use nca_memsim::cache::CacheConfig;
 use nca_memsim::traffic::unpack_traffic;
 use nca_portals::matching::{MatchEntry, MatchingUnit};
-use nca_spin::multi::{run_concurrent, MessageSpec};
 use nca_spin::params::NicParams;
 
 fn bench_matching(c: &mut Criterion) {
@@ -61,27 +60,6 @@ fn bench_cache_replay(c: &mut Criterion) {
     });
 }
 
-fn bench_concurrent(c: &mut Criterion) {
-    c.bench_function("concurrent_4_messages_32kib", |b| {
-        let params = NicParams::with_hpus(8);
-        b.iter(|| {
-            let specs: Vec<MessageSpec> = (0..4)
-                .map(|i| MessageSpec {
-                    packed: vec![i as u8; 32 << 10].into(),
-                    proc: Box::new(nca_spin::builtin::ContigProcessor::new(
-                        0,
-                        params.spin_min_handler(),
-                    )),
-                    host_origin: 0,
-                    host_span: 32 << 10,
-                    start_time: 0,
-                })
-                .collect();
-            run_concurrent(specs, &params).len()
-        })
-    });
-}
-
 fn bench_sender_pipelines(c: &mut Criterion) {
     use nca_ddt::flatten::flatten;
     use nca_spin::sender::{simulate_streaming_put, SenderCosts};
@@ -101,7 +79,6 @@ criterion_group!(
     bench_matching,
     bench_receive,
     bench_cache_replay,
-    bench_concurrent,
     bench_sender_pipelines
 );
 criterion_main!(benches);

@@ -16,8 +16,8 @@ use nca_ddt::types::{elem, Datatype, DatatypeExt};
 use nca_sim::{FaultSpec, Pool};
 use nca_spin::params::NicParams;
 
-/// The matrix both variants run: the ncmt_cli fault-sweep defaults
-/// (64 KiB strided vector, 4 seeds × 3 scales × 4 strategies).
+/// The matrix both variants run: a 64 KiB strided vector, 4 seeds × 3
+/// scales × 4 strategies (a fault-sweep scenario's default `sweep`).
 fn spec() -> FaultSweepSpec {
     FaultSweepSpec {
         dt: Datatype::vector(512, 16, 32, &elem::double()),

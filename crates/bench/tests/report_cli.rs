@@ -1,6 +1,7 @@
-//! End-to-end tests of `ncmt_cli --report-out` and `report-diff`:
-//! the emitted artifact parses with the advertised keys, self-diff is
-//! clean (exit 0), and a seeded regression trips the exit code.
+//! End-to-end tests of `ncmt_cli run`, `--report-out`, `--profile` and
+//! `report-diff`: the emitted artifact parses with the advertised keys,
+//! self-diff is clean (exit 0), a seeded regression trips the exit
+//! code, and bad arguments exit 2.
 
 use std::collections::BTreeMap;
 use std::process::Command;
@@ -17,18 +18,15 @@ fn tmp_path(name: &str) -> std::path::PathBuf {
     p
 }
 
+/// The CI strategy run: 512×16/32 doubles on 16 HPUs.
+const STRATEGY_RUN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../scenarios/strategy_run.json"
+);
+
 fn run_report(path: &std::path::Path) {
     let out = Command::new(CLI)
-        .args([
-            "vector",
-            "--count",
-            "512",
-            "--blocklen",
-            "16",
-            "--stride",
-            "32",
-            "--report-out",
-        ])
+        .args(["run", STRATEGY_RUN, "--report-out"])
         .arg(path)
         .output()
         .expect("run ncmt_cli");
@@ -101,18 +99,20 @@ fn report_out_emits_a_parsable_document_with_required_keys() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// `ncmt_cli profile` acceptance: the artifact parses, carries every
-/// phase, and its phase totals tile the measured wall-clock — the sum
-/// of attributed and unattributed time must equal `wall_ns` within 2%
-/// (it is exact by construction; the slack guards the JSON round-trip).
+/// `ncmt_cli run --profile` acceptance: the artifact parses, carries
+/// every phase, and at `--jobs 1` its phase totals tile the measured
+/// wall-clock — the sum of attributed and unattributed time must equal
+/// `wall_ns` within 2% (it is exact by construction; the slack guards
+/// the JSON round-trip).
 #[test]
 fn profile_artifact_phase_totals_tile_the_wall_clock() {
     let path = tmp_path("profile.json");
     let out = Command::new(CLI)
-        .args(["profile", "--count", "256", "--out"])
+        .args(["run", STRATEGY_RUN, "--set", "workload.count=256"])
+        .args(["--jobs", "1", "--profile"])
         .arg(&path)
         .output()
-        .expect("run ncmt_cli profile");
+        .expect("run ncmt_cli run --profile");
     assert!(
         out.status.success(),
         "{}",
@@ -145,6 +145,56 @@ fn profile_artifact_phase_totals_tile_the_wall_clock() {
         "per-worker breakdown present"
     );
     let _ = std::fs::remove_file(&path);
+}
+
+/// Bad arguments, rejected overrides and inputs over a compile-time
+/// bound all exit 2 with a message naming the culprit; the legacy flag
+/// subcommands are gone.
+#[test]
+fn run_rejects_bad_input_with_exit_2() {
+    let traffic = STRATEGY_RUN.replace("strategy_run.json", "traffic.json");
+    let cases: [(Vec<&str>, &str); 6] = [
+        (
+            vec!["run", STRATEGY_RUN, "--set", "workload.cuont=5"],
+            "scenario.workload.cuont: unknown key",
+        ),
+        (
+            vec!["run", STRATEGY_RUN, "--set", "workload.count"],
+            "--set workload.count: expected path=value",
+        ),
+        (
+            vec![
+                "run",
+                STRATEGY_RUN,
+                "--set",
+                "workload.count=100000",
+                "--set",
+                "workload.stride=1000000000",
+            ],
+            "scenario.workload: a receive span",
+        ),
+        (
+            vec!["run", &traffic, "--set", "traffic.tenants=100000000"],
+            "scenario.traffic.tenants",
+        ),
+        (
+            vec!["run", STRATEGY_RUN, "--count", "5"],
+            "unknown run flag --count",
+        ),
+        (
+            vec!["vector", "--count", "512"],
+            "valid subcommands: run, list, report-diff, bench-diff",
+        ),
+    ];
+    for (args, want) in cases {
+        let out = Command::new(CLI)
+            .args(&args)
+            .output()
+            .expect("run ncmt_cli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(want), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

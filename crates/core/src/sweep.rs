@@ -1,6 +1,6 @@
 //! Parallel fault-sweep executor.
 //!
-//! `ncmt_cli fault-sweep` runs a seed × fault-scale × strategy matrix;
+//! A fault-sweep scenario runs a seed × fault-scale × strategy matrix;
 //! every cell is an independent deterministic simulation, which makes
 //! the matrix embarrassingly parallel. This module owns the cell logic
 //! so the CLI (and tests) can run it through [`nca_sim::Pool`]:
@@ -25,8 +25,8 @@ use nca_telemetry::Telemetry;
 use crate::report::fault_summary;
 use crate::runner::{Experiment, Strategy};
 
-/// Everything that defines one fault-sweep matrix (the knobs
-/// `ncmt_cli fault-sweep` exposes, minus output formatting).
+/// Everything that defines one fault-sweep matrix (what a fault-sweep
+/// scenario compiles to, minus output formatting).
 #[derive(Clone)]
 pub struct FaultSweepSpec {
     /// Receive datatype for every cell.
@@ -64,8 +64,7 @@ impl FaultSweepSpec {
 
 /// Run one `(seed, scale)` cell: all strategies against one fault
 /// schedule, byte-exactness checked against a host-side unpack
-/// reference. Identical to the serial loop body `ncmt_cli fault-sweep`
-/// used, with the cell's events captured in a private ring.
+/// reference, with the cell's events captured in a private ring.
 fn run_cell(spec: &FaultSweepSpec, seed: u64, scale: f64) -> Vec<SweepCell> {
     let (tel, sink) = Telemetry::ring(spec.ring_capacity);
     let mut exp = Experiment::new(spec.dt.clone(), spec.count, spec.params.clone());

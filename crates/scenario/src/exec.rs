@@ -1,10 +1,11 @@
 //! Compile a parsed [`Scenario`] into a concrete [`Plan`] and run it
-//! on a worker [`Pool`]. The run functions here are the single
-//! implementation behind both `ncmt_cli run <scenario.json>` and the
-//! legacy `fault-sweep`/`traffic` subcommands (now thin wrappers), so
-//! the printed tables and written artifacts are byte-identical by
-//! construction — at any `--jobs` value, every grid comes back in
-//! serial job order.
+//! on a worker [`Pool`]. The run functions here are the implementation
+//! behind `ncmt_cli run <scenario.json>`; at any `--jobs` value every
+//! grid comes back in serial job order, so the printed tables and
+//! written artifacts are byte-identical. [`Scenario::compile`] also
+//! rejects, with a path-qualified error, inputs a run could not finish:
+//! receive spans over 1 GiB, more than 1024 tenants, and traffic cells
+//! expecting more than 2^21 offers.
 
 use std::fmt::Write;
 
@@ -18,8 +19,8 @@ use nca_spin::nic::EngineMode;
 use nca_spin::params::NicParams;
 use nca_telemetry::export;
 use nca_telemetry::report::{FaultSweepDoc, RunReportDoc};
-use nca_traffic::{traffic_sweep, TrafficSweepSpec};
-use nca_workloads::apps::all_workloads;
+use nca_traffic::{app_group, mean_mix_wire_ps, traffic_sweep, TrafficSweepSpec};
+use nca_workloads::apps;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -49,7 +50,7 @@ pub struct Artifact {
 /// write and turn into an exit status.
 #[derive(Debug, Clone, Default)]
 pub struct Outcome {
-    /// The human table (everything legacy printed before any artifact
+    /// The human table (everything printed before any artifact
     /// announcement).
     pub stdout: String,
     /// Non-fatal warning for stderr (e.g. dropped trace events).
@@ -107,6 +108,35 @@ impl std::fmt::Debug for Plan {
     }
 }
 
+/// Largest receive span, in bytes, a vector or indexed workload may
+/// ask for: 2048× the largest such workload a shipped scenario, CI job
+/// or benchmark runs (the 2048×16/32 vector, 512 KiB), and 4× the
+/// largest application span (NAS-MG/d, 255 MiB).
+const MAX_SPAN_BYTES: u64 = 1 << 30;
+
+/// Most tenants one traffic cell may run: 256× the nightly soak's 4.
+const MAX_TENANTS: u64 = 1 << 10;
+
+/// Most offers one traffic cell may expect (load × horizon ÷ the mix's
+/// mean wire time): 23× the nightly soak's busiest cell (COMB/b at load
+/// 2.0 over 2 ms, about 91k offers).
+const MAX_CELL_OFFERS: f64 = (1u64 << 21) as f64;
+
+/// Reject a vector or indexed workload whose receive span, bounded
+/// above by `copies × units × 8` bytes of doubles, exceeds
+/// [`MAX_SPAN_BYTES`]. Runs before the datatype is built: building one
+/// loops over every block, and its byte offsets wrap past `i64`.
+fn check_span(units: u128, copies: u32) -> Result<(), String> {
+    let span = units.saturating_mul(8).saturating_mul(copies as u128);
+    if span > MAX_SPAN_BYTES as u128 {
+        return Err(format!(
+            "scenario.workload: a receive span of up to {span} bytes exceeds the \
+             bound of {MAX_SPAN_BYTES} bytes"
+        ));
+    }
+    Ok(())
+}
+
 /// Resolve a single-datatype workload section into `(dt, copies,
 /// leading stdout line)`. `copies` multiplies vector/indexed datatypes;
 /// app workloads carry their own repetition count.
@@ -119,18 +149,23 @@ fn resolve_single(
             count,
             blocklen,
             stride,
-        } => Ok((
-            Datatype::vector(*count, *blocklen, *stride, &elem::double()),
-            copies,
-            None,
-        )),
+        } => {
+            let reach = (*count as u128).saturating_sub(1) * stride.unsigned_abs() as u128;
+            check_span(reach + *blocklen as u128, copies)?;
+            Ok((
+                Datatype::vector(*count, *blocklen, *stride, &elem::double()),
+                copies,
+                None,
+            ))
+        }
         WorkloadSpec::Indexed {
             blocks,
             blocklen,
             seed,
         } => {
-            // Same construction as the `indexed` subcommand: fixed-size
-            // blocks at seeded random offsets with 1–4 element gaps.
+            // Fixed-size blocks at seeded random offsets with 1–4
+            // element gaps, so the span is under blocks × (blocklen + 4).
+            check_span(*blocks as u128 * (*blocklen as u128 + 4), copies)?;
             let mut rng = StdRng::seed_from_u64(*seed);
             let mut displs = Vec::with_capacity(*blocks as usize);
             let mut at = 0i64;
@@ -143,9 +178,7 @@ fn resolve_single(
             Ok((dt, copies, None))
         }
         WorkloadSpec::App { label } => {
-            let w = all_workloads()
-                .into_iter()
-                .find(|w| w.label() == *label)
+            let w = apps::by_label(label)
                 .ok_or_else(|| format!("scenario.workload.label: unknown workload {label}"))?;
             let line = format!("workload : {} ({})", w.label(), w.ddt_class);
             Ok((w.dt.clone(), w.count, Some(line)))
@@ -226,6 +259,30 @@ impl Scenario {
                     );
                 }
                 let t = self.traffic.clone().unwrap_or_default();
+                if t.tenants > MAX_TENANTS {
+                    return Err(format!(
+                        "scenario.traffic.tenants: {} tenants exceed the bound of {MAX_TENANTS}",
+                        t.tenants
+                    ));
+                }
+                let params = NicParams::with_hpus(self.scheduling.hpus as usize);
+                for app in &t.apps {
+                    let mix = app_group(app).ok_or_else(|| {
+                        format!("scenario.traffic.apps: unknown application mix {app:?}")
+                    })?;
+                    let wire_ps = mean_mix_wire_ps(&params, &mix);
+                    for (i, load) in t.loads.iter().enumerate() {
+                        let offers = load * t.horizon_us as f64 * 1e6 / wire_ps;
+                        if offers.is_nan() || offers > MAX_CELL_OFFERS {
+                            return Err(format!(
+                                "scenario.traffic.loads[{i}]: load {load} of {app} over {} us \
+                                 expects {offers:.3e} offers per cell, above the bound of \
+                                 {MAX_CELL_OFFERS}",
+                                t.horizon_us
+                            ));
+                        }
+                    }
+                }
                 let mut spec = TrafficSweepSpec::new(t.seed);
                 spec.apps = t.apps;
                 spec.loads = t.loads;
@@ -289,8 +346,7 @@ impl Plan {
 }
 
 /// One datatype through every strategy plus the host and iovec
-/// baselines — the body the `vector`/`indexed`/`app` subcommands have
-/// always run, now shared with `run <scenario.json>`.
+/// baselines (`kind: "strategy-run"`).
 pub fn run_strategy(plan: &StrategyPlan, pool: &Pool, opts: &RunOptions) -> Outcome {
     // Per-strategy rings merged after the barrier reproduce exactly
     // what one shared ring would capture from the serial loop;
@@ -449,9 +505,8 @@ pub fn run_strategy(plan: &StrategyPlan, pool: &Pool, opts: &RunOptions) -> Outc
     out
 }
 
-/// The seed × fault-scale matrix over all strategies, with the exact
-/// table and `ncmt-fault-sweep` artifact the `fault-sweep` subcommand
-/// has always produced.
+/// The seed × fault-scale matrix over all strategies, with its table
+/// and `ncmt-fault-sweep` artifact.
 pub fn run_fault_sweep(spec: &FaultSweepSpec, pool: &Pool) -> Outcome {
     let base = spec.base;
     let mut o = String::new();

@@ -87,7 +87,7 @@ fn compute_row(w: &nca_workloads::AppWorkload) -> Row {
 
 /// The figure table as a string — what [`print_on`] prints and what
 /// the `fig16` scenario writes as its artifact (so the file and the
-/// legacy stdout are byte-identical).
+/// stdout are byte-identical).
 pub fn render(max_kib: Option<u64>, pool: &Pool) -> String {
     let mut o = String::new();
     let _ = writeln!(

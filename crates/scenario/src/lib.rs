@@ -2,15 +2,16 @@
 //! document names workload × traffic × faults × scheduling × telemetry
 //! × sweep, a strict hand-rolled parser rejects anything it does not
 //! understand (unknown keys are hard errors naming the JSON path), and
-//! the compiler turns the result into the same deterministic pool jobs
-//! the individual CLI subcommands always ran — so `ncmt_cli run
-//! scenarios/fig16.json` and the legacy `fig16`/`fault-sweep`/`traffic`
-//! entry points produce byte-identical artifacts at any `--jobs` value.
+//! the compiler turns the result into deterministic pool jobs whose
+//! artifacts are byte-identical at any `--jobs` value. `ncmt_cli run
+//! <scenario.json>` is the one experiment entry point; its `--set
+//! path=value` overrides edit the document before the parser runs.
 //!
 //! Layers:
 //! - [`schema`] — the scenario document as plain data with defaults
 //!   and a canonical serializer.
-//! - [`parse_scenario`] — strict JSON → [`Scenario`].
+//! - [`parse_scenario`] — strict JSON → [`Scenario`];
+//!   [`parse_scenario_with`] applies `--set` overrides first.
 //! - [`exec`] — [`Scenario::compile`] into a [`exec::Plan`] and run it.
 //! - [`fig16`] — the Fig. 16 application-speedup table (moved here
 //!   from `nca-bench`, which re-exports it).
@@ -24,7 +25,7 @@ mod parse;
 pub mod schema;
 
 pub use exec::{Artifact, Outcome, Plan, RunOptions, StrategyPlan};
-pub use parse::{parse_scenario, parse_strategy};
+pub use parse::{parse_scenario, parse_scenario_with, parse_strategy};
 pub use schema::{
     FaultsSpec, Scenario, ScenarioKind, SchedulingSpec, SweepSpec, TelemetrySpec, TrafficSpec,
     WorkloadSpec, VERSION,
@@ -107,6 +108,83 @@ mod tests {
         scn.traffic = Some(TrafficSpec::default());
         let err = scn.compile().unwrap_err();
         assert!(err.contains("scenario.traffic"), "{err}");
+    }
+
+    const VECTOR_RUN: &str = r#"{ "name": "x", "version": 1, "kind": "strategy-run",
+        "workload": { "kind": "vector", "count": 512, "blocklen": 16, "stride": 32 } }"#;
+
+    #[test]
+    fn set_overrides_a_nested_scalar() {
+        let scn = parse_scenario_with(VECTOR_RUN, &["workload.count=4096"]).unwrap();
+        let want = WorkloadSpec::Vector {
+            count: 4096,
+            blocklen: 16,
+            stride: 32,
+        };
+        assert_eq!(scn.workload, Some(want));
+    }
+
+    #[test]
+    fn set_takes_an_array_value() {
+        let base = r#"{ "name": "t", "version": 1, "kind": "traffic", "traffic": {} }"#;
+        let scn = parse_scenario_with(base, &["traffic.loads=[0.5, 1.5]"]).unwrap();
+        assert_eq!(scn.traffic.unwrap().loads, vec![0.5, 1.5]);
+    }
+
+    #[test]
+    fn set_takes_a_bare_string_and_a_whole_object() {
+        let scn = parse_scenario_with(
+            VECTOR_RUN,
+            &[
+                "scheduling.engine=eager",
+                r#"workload={"kind": "app", "label": "MILC/b"}"#,
+            ],
+        )
+        .unwrap();
+        assert_eq!(scn.scheduling.engine, nca_spin::nic::EngineMode::Eager);
+        let want = WorkloadSpec::App {
+            label: "MILC/b".to_string(),
+        };
+        assert_eq!(scn.workload, Some(want));
+    }
+
+    #[test]
+    fn set_creates_a_missing_section() {
+        let scn = parse_scenario_with(VECTOR_RUN, &["faults.drop=0.1", "sweep.seeds=3"]).unwrap();
+        assert_eq!(scn.faults.drop, 0.1);
+        assert_eq!(scn.faults.seed, FaultsSpec::default().seed);
+        assert_eq!(scn.sweep.seeds, 3);
+        // Later overrides win.
+        let scn =
+            parse_scenario_with(VECTOR_RUN, &["scheduling.hpus=4", "scheduling.hpus=8"]).unwrap();
+        assert_eq!(scn.scheduling.hpus, 8);
+    }
+
+    #[test]
+    fn set_of_an_unknown_key_gets_the_parsers_error() {
+        let err = parse_scenario_with(VECTOR_RUN, &["workload.cuont=5"]).unwrap_err();
+        assert!(
+            err.contains("scenario.workload.cuont: unknown key"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn malformed_set_names_the_argument() {
+        for (set, why) in [
+            ("workload.count", "expected path=value"),
+            (
+                "workload.count.x=1",
+                "scenario.workload.count is not an object",
+            ),
+            ("name.first=a", "scenario.name is not an object"),
+            ("workload..count=1", "empty key"),
+            ("=1", "empty key"),
+        ] {
+            let err = parse_scenario_with(VECTOR_RUN, &[set]).unwrap_err();
+            assert!(err.starts_with(&format!("--set {set}: ")), "{err}");
+            assert!(err.contains(why), "{err}");
+        }
     }
 
     #[test]

@@ -456,9 +456,54 @@ fn sweep(j: &Json, path: &str) -> Result<SweepSpec, String> {
     Ok(spec)
 }
 
+/// Apply one `path=value` override to the document tree. The value is
+/// parsed as JSON; anything that is not valid JSON is taken as a string
+/// (`scheduling.engine=eager`). Missing objects along the path are
+/// created, so the strict parser then judges an override exactly like a
+/// key written in the file.
+fn apply_set(doc: &mut Json, set: &str) -> Result<(), String> {
+    let bad = |why: String| format!("--set {set}: {why}");
+    let (path, value) = set
+        .split_once('=')
+        .ok_or_else(|| bad("expected path=value".to_string()))?;
+    let keys: Vec<&str> = path.split('.').collect();
+    if keys.iter().any(|k| k.is_empty()) {
+        return Err(bad(format!("empty key in path {path:?}")));
+    }
+    let mut node = doc;
+    for (i, key) in keys.iter().enumerate() {
+        let Json::Obj(members) = node else {
+            let parent: Vec<&str> = std::iter::once("scenario")
+                .chain(keys[..i].iter().copied())
+                .collect();
+            return Err(bad(format!("{} is not an object", parent.join("."))));
+        };
+        let at = match members.iter().position(|(k, _)| k == key) {
+            Some(at) => at,
+            None => {
+                members.push((key.to_string(), Json::Obj(Vec::new())));
+                members.len() - 1
+            }
+        };
+        node = &mut members[at].1;
+    }
+    *node = Json::parse(value).unwrap_or_else(|_| Json::Str(value.to_string()));
+    Ok(())
+}
+
 /// Parse a scenario document. Errors name the offending JSON path.
 pub fn parse_scenario(text: &str) -> Result<Scenario, String> {
-    let doc = Json::parse(text).map_err(|e| format!("scenario: {e}"))?;
+    parse_scenario_with(text, &[])
+}
+
+/// [`parse_scenario`] after applying `ncmt_cli run --set path=value`
+/// overrides, in order, to the document tree (`path` is dotted from the
+/// document root, e.g. `workload.count`).
+pub fn parse_scenario_with(text: &str, sets: &[&str]) -> Result<Scenario, String> {
+    let mut doc = Json::parse(text).map_err(|e| format!("scenario: {e}"))?;
+    for set in sets {
+        apply_set(&mut doc, set)?;
+    }
     let mut o = Obj::new(&doc, "scenario")?;
     let name = string(o.req("name")?, &o.at("name"))?.to_string();
     let version = uint(o.req("version")?, &o.at("version"))?;

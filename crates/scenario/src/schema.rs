@@ -22,7 +22,7 @@ pub const VERSION: u64 = 1;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScenarioKind {
     /// One datatype through every strategy plus the host/iovec
-    /// baselines (the `vector`/`indexed`/`app` subcommands).
+    /// baselines.
     StrategyRun,
     /// Seed × fault-scale matrix over all strategies.
     FaultSweep,

@@ -9,7 +9,7 @@
 //! [`PooledBuf`] is a `Vec<u8>` that returns its storage to a thread-local
 //! free list on drop; [`take_zeroed`] hands it back re-zeroed (a memset,
 //! not a fresh mapping). Pool hits are witnessed by the profiler's `alloc`
-//! phase share in `ncmt_cli profile`.
+//! phase share in `ncmt_cli run --profile`.
 //!
 //! Buffers over [`MAX_RETAIN_BYTES`] bypass the pool both ways: drop frees
 //! them, and [`take_zeroed`] returns a fresh zeroed allocation, whose

@@ -5,8 +5,8 @@
 //! small fixed set of [`Phase`]s — event-queue operations, event/handler
 //! execution, DMA-copy kernels, telemetry emission, and
 //! allocation/packing — so hot-path work can be optimized against real
-//! numbers instead of guesses (`ncmt_cli profile` renders the result as
-//! an `ncmt-profile` artifact).
+//! numbers instead of guesses (`ncmt_cli run --profile` renders the
+//! result as an `ncmt-profile` artifact).
 //!
 //! Mechanics:
 //!

@@ -8,15 +8,14 @@
 //! the simulated receive buffer — while their simulated runtime comes
 //! from the strategy's cost model (see `nca-core`).
 //!
-//! The receive path is one core, [`nic::Nic`], fed by message sources:
-//! [`nic::ReceiveSim::run`] (one message, the usual entry point),
-//! [`multi::run_concurrent`] and the `nca-traffic` engine. Sender-side
-//! strategies (streaming puts, outbound sPIN) are modelled in
-//! [`outbound`].
+//! The receive path is one core, [`nic::Nic`], fed by two message
+//! sources: [`nic::ReceiveSim::run`] (one message, the usual entry
+//! point) and the `nca-traffic` engine (open-loop multi-tenant offers).
+//! Sender-side strategies (streaming puts, outbound sPIN) are modelled
+//! in [`outbound`].
 
 pub mod builtin;
 pub mod handler;
-pub mod multi;
 pub mod nic;
 pub mod nicmem;
 pub mod outbound;
@@ -25,7 +24,6 @@ pub mod sched;
 pub mod sender;
 
 pub use handler::{DmaWrite, HandlerCost, HandlerOutput, MessageProcessor, PacketCtx, SchedPolicy};
-pub use multi::{run_concurrent, run_concurrent_traced, MessageReport, MessageSpec};
 pub use nic::{MsgPath, PortalsSetup, ReceiveSim, RunConfig, RunReport};
 pub use nicmem::NicMemory;
 pub use params::NicParams;

@@ -16,10 +16,9 @@
 //! [`Nic`] holds a per-message table (packets, processor, receive
 //! buffer, pending handlers, completion) in front of one NIC-wide
 //! scheduler, NIC memory and DMA engine. Messages enter it through a
-//! [`MessageSource`]: [`ReceiveSim::run`] is the one-message case,
-//! [`crate::multi::run_concurrent`] shares a round-robin link between
-//! several messages, and the open-loop traffic engine (`nca-traffic`)
-//! admits seeded offers against the packet buffer.
+//! [`MessageSource`]: [`ReceiveSim::run`] is the one-message case, and
+//! the open-loop traffic engine (`nca-traffic`) admits seeded offers
+//! from many tenants against the packet buffer.
 //!
 //! The *message processing time* reported is the paper's definition:
 //! from the first byte of the message arriving at the NIC to the last
@@ -284,8 +283,8 @@ impl RunReport {
 }
 
 /// What sits in front of the receive core: the part of a receive that
-/// differs between the one-message microbenchmark, concurrent receives
-/// and open-loop traffic. Sources add messages with
+/// differs between the one-message microbenchmark and open-loop
+/// traffic. Sources add messages with
 /// [`Nic::add_message`], schedule their packets with
 /// [`Nic::schedule_arrival`], and may schedule events of their own on
 /// the same simulator.
@@ -333,20 +332,20 @@ impl MessageSource for OneMessage {
 const LIVE: &str = "message state released before its last event";
 
 /// One message's receive state.
-pub(crate) struct Message {
-    pub(crate) packets: Vec<Packet>,
+struct Message {
+    packets: Vec<Packet>,
     /// Packed message length.
-    pub(crate) bytes: u64,
+    bytes: u64,
     /// `None` once released (see [`MessageSource::RETAIN`]).
     proc: Option<Box<dyn MessageProcessor>>,
-    pub(crate) host_buf: PooledBuf,
+    host_buf: PooledBuf,
     host_origin: i64,
     arrived: u64,
     /// Payload handlers not yet finished.
     pending: u64,
     completion_dispatched: bool,
-    pub(crate) t_complete: Option<Time>,
-    pub(crate) handler_costs: Vec<HandlerCost>,
+    t_complete: Option<Time>,
+    handler_costs: Vec<HandlerCost>,
     path: MsgPath,
 }
 
@@ -554,11 +553,6 @@ impl<S: MessageSource> Nic<S> {
     /// Schedule packet `idx` of message `m` to reach the NIC at `at`.
     pub fn schedule_arrival(sim: &mut Sim<Self>, m: usize, idx: usize, at: Time) {
         sim.schedule_call(at, ev_packet_arrival::<S>, m as u64, idx as u64);
-    }
-
-    /// The message table, once the run is over.
-    pub(crate) fn into_messages(self) -> Vec<Message> {
-        self.msgs
     }
 
     /// One wire transmission attempt of packet `idx` with nominal

@@ -551,7 +551,7 @@ pub struct SweepCell {
     pub faults: FaultSummary,
 }
 
-/// Artifact of `ncmt_cli fault-sweep`: a seed × fault-rate matrix with
+/// Artifact of a fault-sweep scenario: a seed × fault-rate matrix with
 /// delivered-exactly-once statistics per strategy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultSweepDoc {
@@ -659,7 +659,7 @@ pub struct TrafficCell {
     pub tenants: Vec<TenantTrafficReport>,
 }
 
-/// Artifact of `ncmt_cli traffic`: per-tenant tail-latency and
+/// Artifact of a traffic scenario: per-tenant tail-latency and
 /// drop/goodput accounting over an offered-load × discipline × app grid.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrafficDoc {
@@ -784,7 +784,7 @@ pub struct ProfileWorker {
     pub phases: Vec<ProfilePhase>,
 }
 
-/// Artifact of `ncmt_cli profile`: the simulator self-profiler's
+/// Artifact of `ncmt_cli run --profile`: the simulator self-profiler's
 /// attribution of host wall-clock to simulator phases, per worker.
 /// Because phases nest innermost-wins, the per-phase totals are
 /// disjoint and `attributed + other` tiles `wall_ns` exactly.

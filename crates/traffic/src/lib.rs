@@ -33,4 +33,4 @@ pub use engine::{
     ScheduledMsg, TenantSpec, TenantStats, TrafficConfig, TrafficRunResult,
 };
 pub use rss::{flow_hash, IndirectionTable};
-pub use sweep::{app_group, traffic_sweep, ArrivalKind, TrafficSweepSpec, APP_GROUPS};
+pub use sweep::{app_group, traffic_sweep, ArrivalKind, TrafficSweepSpec};

@@ -78,53 +78,16 @@ impl ArrivalKind {
 }
 
 /// Resolve an application name to its workload mix: either a Fig. 16
-/// family (`"milc"`, `"comb"`, `"fft2d"`, …) whose inputs form the mix,
-/// or one exact workload label (`"MILC/b"`) as a single-entry mix.
+/// family (`"milc"`, `"comb"`, `"fft2d"`, …; see
+/// [`apps::FAMILIES`]) whose inputs form the mix, or one exact workload
+/// label (`"MILC/b"`) as a single-entry mix. Only the named family's
+/// datatypes are built.
 pub fn app_group(name: &str) -> Option<Vec<AppWorkload>> {
-    let group = match name {
-        "comb" => apps::comb(),
-        "fft2d" => apps::fft2d(),
-        "lammps" => apps::lammps(),
-        "lammps_full" => apps::lammps_full(),
-        "milc" => apps::milc(),
-        "nas_lu" => apps::nas_lu(),
-        "nas_mg" => apps::nas_mg(),
-        "spec_cm" => apps::spec_cm(),
-        "spec_oc" => apps::spec_oc(),
-        "sw4_x" => apps::sw4_x(),
-        "sw4_y" => apps::sw4_y(),
-        "wrf_x" => apps::wrf_x(),
-        "wrf_y" => apps::wrf_y(),
-        _ => {
-            let one: Vec<AppWorkload> = apps::all_workloads()
-                .into_iter()
-                .filter(|w| w.label() == name)
-                .collect();
-            if one.is_empty() {
-                return None;
-            }
-            one
-        }
-    };
-    Some(group)
+    match apps::FAMILIES.iter().find(|(family, _, _)| *family == name) {
+        Some((_, _, build)) => Some(build()),
+        None => apps::by_label(name).map(|w| vec![w]),
+    }
 }
-
-/// The names [`app_group`] resolves as families (for CLI help text).
-pub const APP_GROUPS: [&str; 13] = [
-    "comb",
-    "fft2d",
-    "lammps",
-    "lammps_full",
-    "milc",
-    "nas_lu",
-    "nas_mg",
-    "spec_cm",
-    "spec_oc",
-    "sw4_x",
-    "sw4_y",
-    "wrf_x",
-    "wrf_y",
-];
 
 /// The grid a traffic sweep runs.
 #[derive(Debug, Clone)]
@@ -353,12 +316,26 @@ mod tests {
     #[test]
     fn app_group_resolves_families_and_exact_labels() {
         assert!(app_group("milc").is_some());
-        for name in APP_GROUPS {
-            assert!(app_group(name).is_some(), "{name}");
+        for (name, _, build) in apps::FAMILIES {
+            let group = app_group(name).unwrap_or_else(|| panic!("{name}"));
+            let labels: Vec<String> = group.iter().map(AppWorkload::label).collect();
+            let want: Vec<String> = build().iter().map(AppWorkload::label).collect();
+            assert_eq!(labels, want, "{name}");
         }
         let one = app_group("MILC/b").expect("exact label");
         assert_eq!(one.len(), 1);
         assert_eq!(one[0].label(), "MILC/b");
-        assert!(app_group("no-such-app").is_none());
+        // Every Fig. 16 label resolves to the very workload the full
+        // list holds.
+        for w in apps::all_workloads() {
+            let one = app_group(&w.label()).unwrap_or_else(|| panic!("{}", w.label()));
+            assert_eq!(one.len(), 1, "{}", w.label());
+            assert_eq!(one[0].label(), w.label());
+            assert_eq!(one[0].count, w.count, "{}", w.label());
+            assert_eq!(one[0].dt.signature(), w.dt.signature(), "{}", w.label());
+        }
+        for bad in ["no-such-app", "MILC/z", "MILC", "/b", "milc/b"] {
+            assert!(app_group(bad).is_none(), "{bad}");
+        }
     }
 }

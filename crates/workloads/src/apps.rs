@@ -297,23 +297,42 @@ pub fn wrf_y() -> Vec<AppWorkload> {
     wrf(1)
 }
 
+/// One Fig. 16 application: its lower-case family name (the traffic
+/// mixes use it), the `app` name its workloads carry, and the
+/// constructor of its inputs.
+pub type Family = (&'static str, &'static str, fn() -> Vec<AppWorkload>);
+
+/// The thirteen families, in figure order.
+pub const FAMILIES: [Family; 13] = [
+    ("comb", "COMB", comb),
+    ("fft2d", "FFT2D", fft2d),
+    ("lammps", "LAMMPS", lammps),
+    ("lammps_full", "LAMMPS-F", lammps_full),
+    ("milc", "MILC", milc),
+    ("nas_lu", "NAS-LU", nas_lu),
+    ("nas_mg", "NAS-MG", nas_mg),
+    ("spec_cm", "SPEC-CM", spec_cm),
+    ("spec_oc", "SPEC-OC", spec_oc),
+    ("sw4_x", "SW4LITE-X", sw4_x),
+    ("sw4_y", "SW4LITE-Y", sw4_y),
+    ("wrf_x", "WRF-X", wrf_x),
+    ("wrf_y", "WRF-Y", wrf_y),
+];
+
 /// All Fig. 16 workloads in figure order.
 pub fn all_workloads() -> Vec<AppWorkload> {
-    let mut v = Vec::new();
-    v.extend(comb());
-    v.extend(fft2d());
-    v.extend(lammps());
-    v.extend(lammps_full());
-    v.extend(milc());
-    v.extend(nas_lu());
-    v.extend(nas_mg());
-    v.extend(spec_cm());
-    v.extend(spec_oc());
-    v.extend(sw4_x());
-    v.extend(sw4_y());
-    v.extend(wrf_x());
-    v.extend(wrf_y());
-    v
+    FAMILIES
+        .iter()
+        .flat_map(|(_, _, family)| family())
+        .collect()
+}
+
+/// The workload with exact label `label` (e.g. `MILC/b`); builds only
+/// its own family's datatypes.
+pub fn by_label(label: &str) -> Option<AppWorkload> {
+    let (app, _) = label.split_once('/')?;
+    let (_, _, family) = FAMILIES.iter().find(|(_, name, _)| *name == app)?;
+    family().into_iter().find(|w| w.label() == label)
 }
 
 #[cfg(test)]

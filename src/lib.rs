@@ -27,7 +27,7 @@
 //!   per-tenant tail-latency accounting over the queue disciplines.
 //! * [`scenario`] — declarative scenario configs: one JSON document
 //!   compiling workload × traffic × faults × scheduling × sweep into
-//!   the same deterministic pool jobs the CLI subcommands run.
+//!   deterministic pool jobs (what `ncmt_cli run` executes).
 //!
 //! ## Quickstart
 //!

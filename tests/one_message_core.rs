@@ -1,12 +1,11 @@
-//! The receive core's one-message case. `ReceiveSim::run`, a concurrent
-//! receive of a single message and a traffic cell that admits a single
-//! offer are three sources in front of one core, so on one message they
-//! must agree: same first byte, same completion time, same landed bytes.
+//! The receive core's one-message case. `ReceiveSim::run` and a traffic
+//! cell that admits a single offer are two sources in front of one
+//! core, so on one message they must agree: the offer's latency is the
+//! receive's completion time, and the landed bytes are exact.
 
 use ncmt::core::runner::{Experiment, Strategy};
 use ncmt::ddt::pack::buffer_span;
-use ncmt::ddt::types::{elem, Datatype, DatatypeExt};
-use ncmt::spin::multi::{run_concurrent, MessageSpec};
+use ncmt::ddt::types::Datatype;
 use ncmt::spin::nic::{EngineMode, ReceiveSim, RunConfig, RunReport};
 use ncmt::spin::params::NicParams;
 use ncmt::telemetry::Telemetry;
@@ -15,55 +14,15 @@ use ncmt::workloads::apps::{self, AppWorkload};
 
 const EPSILON: f64 = 0.2;
 
-/// The `tests/dma_engine_equiv.rs` workloads: fine blocks, wide blocks
-/// and a multi-count message.
-fn workloads() -> Vec<(Datatype, u32)> {
-    vec![
-        (Datatype::vector(512, 16, 32, &elem::double()), 1),
-        (Datatype::vector(64, 256, 512, &elem::double()), 1),
-        (Datatype::vector(128, 4, 8, &elem::double()), 3),
-    ]
-}
-
-fn receive(
-    s: Strategy,
-    dt: &Datatype,
-    count: u32,
-    params: &NicParams,
-    engine: EngineMode,
-) -> RunReport {
+/// `ReceiveSim::run` on the event-driven DMA engine, the one traffic
+/// cells run.
+fn receive(s: Strategy, dt: &Datatype, count: u32, params: &NicParams) -> RunReport {
     let (origin, span) = buffer_span(dt, count);
     let packed = Experiment::new(dt.clone(), count, params.clone()).packed_message();
     let proc_ = s.build(dt, count, params.clone(), EPSILON, Telemetry::disabled());
     let mut cfg = RunConfig::new(params.clone());
-    cfg.engine = engine;
+    cfg.engine = EngineMode::Event;
     ReceiveSim::run(proc_, packed, origin, span, &cfg)
-}
-
-#[test]
-fn one_message_concurrent_receive_equals_receive_sim() {
-    let params = NicParams::with_hpus(16);
-    for (dt, count) in workloads() {
-        let (origin, span) = buffer_span(&dt, count);
-        let packed = Experiment::new(dt.clone(), count, params.clone()).packed_message();
-        for s in Strategy::ALL {
-            let spec = MessageSpec {
-                packed: packed.clone().into(),
-                proc: s.build(&dt, count, params.clone(), EPSILON, Telemetry::disabled()),
-                host_origin: origin,
-                host_span: span,
-                start_time: 0,
-            };
-            let multi = run_concurrent(vec![spec], &params).remove(0);
-            for engine in [EngineMode::Auto, EngineMode::Event] {
-                let what = format!("{} {:?} count {count} {engine:?}", s.label(), dt.size);
-                let one = receive(s, &dt, count, &params, engine);
-                assert_eq!(multi.t_first_byte, one.t_first_byte, "{what}: t_first_byte");
-                assert_eq!(multi.t_complete, one.t_complete, "{what}: t_complete");
-                assert_eq!(multi.host_buf, *one.host_buf, "{what}: host_buf");
-            }
-        }
-    }
 }
 
 /// One workload from each of six applications, small enough to fit
@@ -98,7 +57,7 @@ fn one_offer_traffic_latency_equals_receive_sim_completion() {
             let t = &r.tenants[0];
             assert_eq!((t.offered, t.admitted, t.completed), (1, 1, 1), "{what}");
             assert!(r.byte_exact, "{what}: byte_exact");
-            let one = receive(s, &w.dt, w.count, &params, EngineMode::Event);
+            let one = receive(s, &w.dt, w.count, &params);
             assert_eq!(t.latency.min(), Some(one.t_complete), "{what}: latency");
             assert_eq!(t.latency.max(), Some(one.t_complete), "{what}: latency");
         }

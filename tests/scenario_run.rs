@@ -1,10 +1,15 @@
 //! End-to-end tests of the declarative scenario layer through the
 //! `ncmt` facade: every shipped `scenarios/*.json` parses, compiles
 //! and runs; the `traffic` and `ddt-host-compare` scenarios reproduce
-//! their committed goldens byte-for-byte; and scenario runs stay
-//! byte-identical at any worker count.
+//! their committed goldens byte-for-byte; scenario runs stay
+//! byte-identical at any worker count; and inputs a run could not
+//! finish are rejected at compile time, promptly, with a
+//! path-qualified error.
 
-use ncmt::scenario::{parse_scenario, Plan, RunOptions, Scenario};
+use std::sync::mpsc;
+use std::time::Duration;
+
+use ncmt::scenario::{parse_scenario, parse_scenario_with, Plan, RunOptions, Scenario};
 use ncmt::sim::Pool;
 
 fn repo_path(rel: &str) -> String {
@@ -132,4 +137,135 @@ fn fig16_scenario_renders_the_quick_figure_table() {
     let art = out.artifact.expect("figure artifact");
     assert_eq!(art.text, table);
     assert_eq!(out.stdout, table, "the figure table is also the stdout");
+}
+
+/// Parse a shipped scenario with `--set` overrides and compile it on a
+/// watchdog thread: the answer must come within 10 s, even in a debug
+/// build on a loaded machine.
+fn compile_watched(name: &str, sets: &[&str]) -> Result<(), String> {
+    let path = repo_path(&format!("scenarios/{name}"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let owned: Vec<String> = sets.iter().map(|s| s.to_string()).collect();
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let sets: Vec<&str> = owned.iter().map(String::as_str).collect();
+        let compiled = parse_scenario_with(&text, &sets).and_then(|scn| scn.compile());
+        let _ = tx.send(compiled.map(drop));
+    });
+    match rx.recv_timeout(Duration::from_secs(10)) {
+        Ok(compiled) => compiled,
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            panic!("{name} {sets:?}: compile did not answer within 10 s")
+        }
+        Err(mpsc::RecvTimeoutError::Disconnected) => panic!("{name} {sets:?}: compile panicked"),
+    }
+}
+
+fn assert_rejected(name: &str, sets: &[&str], path: &str) {
+    let err = compile_watched(name, sets).expect_err("must not compile");
+    assert!(err.starts_with(&format!("{path}: ")), "{sets:?}: {err}");
+}
+
+#[test]
+fn offers_per_cell_are_bounded() {
+    // Was still running after 90 s.
+    assert_rejected(
+        "traffic.json",
+        &[
+            r#"traffic.apps=["COMB/b"]"#,
+            "traffic.loads=[1e6]",
+            "traffic.tenants=1",
+            "traffic.horizon_us=10",
+        ],
+        "scenario.traffic.loads[0]",
+    );
+}
+
+#[test]
+fn tenants_are_bounded() {
+    // Was OOM-killed after 61 s.
+    assert_rejected(
+        "traffic.json",
+        &[
+            r#"traffic.apps=["COMB/b"]"#,
+            "traffic.loads=[0.5]",
+            "traffic.tenants=100000000",
+            "traffic.horizon_us=10",
+        ],
+        "scenario.traffic.tenants",
+    );
+}
+
+#[test]
+fn receive_spans_are_bounded_before_the_datatype_is_built() {
+    // Aborted allocating 800 TB.
+    assert_rejected(
+        "strategy_run.json",
+        &[
+            "workload.count=100000",
+            "workload.blocklen=1",
+            "workload.stride=1000000000",
+        ],
+        "scenario.workload",
+    );
+    // Aborted allocating 32 PB.
+    assert_rejected(
+        "strategy_run.json",
+        &[
+            "workload.count=4000000000",
+            "workload.blocklen=1000000",
+            "workload.stride=2000000",
+        ],
+        "scenario.workload",
+    );
+    // The bound is 1 GiB: two doubles 2^27 - 1 doubles apart span
+    // exactly 2^30 bytes; one double further does not fit.
+    let pair = |stride: &str| {
+        let set = format!("workload.stride={stride}");
+        compile_watched(
+            "strategy_run.json",
+            &["workload.count=2", "workload.blocklen=1", &set],
+        )
+    };
+    pair("134217727").expect("exactly at the bound");
+    assert!(pair("134217728").is_err());
+    assert_rejected(
+        "fault_sweep.json",
+        &[r#"workload={"kind": "indexed", "blocks": 1000000000, "blocklen": 1, "seed": 1}"#],
+        "scenario.workload",
+    );
+}
+
+#[test]
+fn every_ci_nightly_and_benchmark_case_stays_under_the_bounds() {
+    let cases: [(&str, &[&str]); 5] = [
+        // Nightly traffic soak: 4 tenants and 16 HPUs.
+        (
+            "traffic.json",
+            &[
+                r#"traffic.apps=["COMB/b", "NAS-MG/a", "LAMMPS/a"]"#,
+                "traffic.loads=[0.5, 1.0, 1.5, 2.0]",
+                "traffic.arrival=mixed",
+                "traffic.horizon_us=2000",
+                "traffic.tenants=4",
+                "scheduling.hpus=16",
+            ],
+        ),
+        // Nightly fault sweep.
+        ("fault_sweep.json", &["sweep.seeds=32"]),
+        // The benchmark's fault sweep.
+        (
+            "fault_sweep.json",
+            &["workload.count=2048", "sweep.seeds=8"],
+        ),
+        // The largest application span (NAS-MG/d, 255 MiB).
+        (
+            "strategy_run.json",
+            &[r#"workload={"kind": "app", "label": "NAS-MG/d"}"#],
+        ),
+        ("strategy_run.json", &[]),
+    ];
+    for (name, sets) in cases {
+        compile_watched(name, sets).unwrap_or_else(|e| panic!("{name} {sets:?}: {e}"));
+    }
 }

@@ -27,19 +27,25 @@ proptest! {
 
     /// The rendered offer schedule of every grid cell is byte-identical
     /// for a fixed seed regardless of the worker count used elsewhere —
-    /// and the whole emitted artifact is too.
+    /// and the whole emitted artifact is too. Every completed message,
+    /// concurrent with the other tenants' on a random number of HPUs,
+    /// lands byte-exact.
     #[test]
     fn schedule_and_artifact_are_byte_identical_at_any_jobs_count(
         seed in 0u64..1_000_000,
         jobs in 2usize..8,
+        hpus in 1usize..32,
     ) {
-        let spec = tiny_spec(seed);
+        let mut spec = tiny_spec(seed);
+        spec.hpus = hpus;
         let cfg = spec.cell_config("COMB/b", 0.5, QueueDiscipline::BlockedRR);
         let rendered = render_schedule(&generate_schedule(&cfg));
         prop_assert_eq!(&rendered, &render_schedule(&generate_schedule(&cfg)));
         prop_assert!(!rendered.is_empty());
 
-        let serial = traffic_sweep(&spec, &Pool::serial()).to_json();
+        let doc = traffic_sweep(&spec, &Pool::serial());
+        prop_assert!(doc.all_byte_exact(), "hpus = {}", hpus);
+        let serial = doc.to_json();
         let parallel = traffic_sweep(&spec, &Pool::new(jobs)).to_json();
         prop_assert_eq!(serial, parallel, "jobs = {}", jobs);
     }
