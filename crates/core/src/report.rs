@@ -4,7 +4,7 @@
 //! [`ModeledRun`] plus its captured trace into the measured +
 //! model-validated block `ncmt_cli --report-out` serializes.
 
-use nca_telemetry::aggregate::{counter_total, gauge_series, merged_hist, rollup};
+use nca_telemetry::aggregate::{gauge_series, merged_hist, rollup};
 use nca_telemetry::flight;
 use nca_telemetry::report::{
     FaultSummary, HistSummary, ModelValidation, ReportConfig, StrategyReport, UtilizationReport,
@@ -143,11 +143,14 @@ pub fn strategy_report(
 }
 
 /// The fault/reliability block for a run: the pipeline's
-/// [`nca_spin::nic::ReliabilityStats`] plus the strategy-level recovery
-/// counters the trace captured (checkpoint reverts, catch-up replays).
-/// `None` for lossless runs — they carry no reliability state.
-pub fn fault_summary(run: &ModeledRun, evs: &[TraceEvent]) -> Option<FaultSummary> {
+/// [`nca_spin::nic::ReliabilityStats`] plus the strategy's recovery
+/// counts (checkpoint reverts, catch-up blocks), both taken from
+/// `run.report`, so the block is exact whatever a trace ring dropped.
+/// `_evs` is unused; it stays so existing callers compile. `None` for
+/// lossless runs — they carry no reliability state.
+pub fn fault_summary(run: &ModeledRun, _evs: &[TraceEvent]) -> Option<FaultSummary> {
     let rel = &run.report.rel;
+    let recovery = &run.report.recovery;
     if rel.transmissions == 0 && !rel.nic_mem_fallback {
         return None;
     }
@@ -163,8 +166,8 @@ pub fn fault_summary(run: &ModeledRun, evs: &[TraceEvent]) -> Option<FaultSummar
         host_fallback_packets: rel.host_fallback_packets,
         nic_mem_fallback: rel.nic_mem_fallback,
         delivered_exactly_once: rel.delivered_exactly_once,
-        checkpoint_reverts: counter_total(evs, "core", "checkpoint_reverts"),
-        catchup_blocks: counter_total(evs, "core", "catchup_blocks"),
+        checkpoint_reverts: recovery.checkpoint_reverts,
+        catchup_blocks: recovery.catchup_blocks,
     })
 }
 

@@ -22,7 +22,7 @@ use nca_ddt::normalize::{classify, Shape};
 use nca_ddt::segment::Segment;
 use nca_ddt::types::Datatype;
 use nca_sim::Time;
-use nca_spin::handler::{HandlerOutput, MessageProcessor, PacketCtx, SchedPolicy};
+use nca_spin::handler::{HandlerOutput, MessageProcessor, PacketCtx, RecoveryStats, SchedPolicy};
 use nca_spin::params::NicParams;
 use nca_telemetry::Telemetry;
 
@@ -104,7 +104,9 @@ pub struct GeneralProcessor {
     npkt: u64,
     /// Times an RW-CP checkpoint had to be reverted from its master copy
     /// (out-of-order arrivals).
-    pub reverts: u64,
+    reverts: u64,
+    /// Catch-up blocks summed over every handler call.
+    catchup_blocks: u64,
     tel: Telemetry,
 }
 
@@ -143,6 +145,7 @@ impl GeneralProcessor {
             scratch: Vec::new(),
             npkt,
             reverts: 0,
+            catchup_blocks: 0,
             tel: Telemetry::disabled(),
         }
     }
@@ -233,7 +236,8 @@ impl MessageProcessor for GeneralProcessor {
         let first = ctx.stream_offset;
         let scratch = self.scratch.pop().unwrap_or_default();
         let direct = ctx.direct.as_mut().map(|d| (&mut *d.buf, d.origin));
-        let out = match self.kind {
+        // `ckpt_copy`: the handler paid for materializing a checkpoint.
+        let (dma, stats, ckpt_copy) = match self.kind {
             GeneralKind::HpuLocal => {
                 let dl = Arc::clone(&self.dl);
                 let seg = self
@@ -241,34 +245,14 @@ impl MessageProcessor for GeneralProcessor {
                     .entry(ctx.vhpu)
                     .or_insert_with(|| Segment::new(dl));
                 let (dma, stats) = scatter_packet(seg, first, ctx.payload, scratch, direct);
-                self.tel.counter(
-                    "core",
-                    "catchup_blocks",
-                    ctx.vhpu,
-                    ctx.now,
-                    stats.catchup_blocks,
-                );
-                HandlerOutput {
-                    cost: general_handler_cost(&self.params, &self.cyc, &stats, false),
-                    dma,
-                }
+                (dma, stats, false)
             }
             GeneralKind::RoCp => {
                 // Copy the closest checkpoint, process locally, discard.
                 let table = self.table.as_ref().expect("RO-CP table");
                 let mut seg = table.closest(first).materialize();
                 let (dma, stats) = scatter_packet(&mut seg, first, ctx.payload, scratch, direct);
-                self.tel.counter(
-                    "core",
-                    "catchup_blocks",
-                    ctx.vhpu,
-                    ctx.now,
-                    stats.catchup_blocks,
-                );
-                HandlerOutput {
-                    cost: general_handler_cost(&self.params, &self.cyc, &stats, true),
-                    dma,
-                }
+                (dma, stats, true)
             }
             GeneralKind::RwCp => {
                 let table = self.table.as_ref().expect("RW-CP table");
@@ -298,18 +282,20 @@ impl MessageProcessor for GeneralProcessor {
                     self.tel
                         .instant("core", "checkpoint_revert", ctx.vhpu, ctx.now);
                 }
-                self.tel.counter(
-                    "core",
-                    "catchup_blocks",
-                    ctx.vhpu,
-                    ctx.now,
-                    stats.catchup_blocks,
-                );
-                HandlerOutput {
-                    cost: general_handler_cost(&self.params, &self.cyc, &stats, reverted),
-                    dma,
-                }
+                (dma, stats, reverted)
             }
+        };
+        self.catchup_blocks += stats.catchup_blocks;
+        self.tel.counter(
+            "core",
+            "catchup_blocks",
+            ctx.vhpu,
+            ctx.now,
+            stats.catchup_blocks,
+        );
+        let out = HandlerOutput {
+            cost: general_handler_cost(&self.params, &self.cyc, &stats, ckpt_copy),
+            dma,
         };
         self.record_phases(ctx, &out);
         out
@@ -319,6 +305,13 @@ impl MessageProcessor for GeneralProcessor {
         scratch.clear();
         if self.scratch.len() < MAX_SCRATCH {
             self.scratch.push(scratch);
+        }
+    }
+
+    fn recovery(&self) -> RecoveryStats {
+        RecoveryStats {
+            checkpoint_reverts: self.reverts,
+            catchup_blocks: self.catchup_blocks,
         }
     }
 

@@ -5,11 +5,14 @@
 //! the matrix embarrassingly parallel. This module owns the cell logic
 //! so the CLI (and tests) can run it through [`nca_sim::Pool`]:
 //!
-//! * parallelism is at **(seed, scale) cell granularity** — the four
-//!   strategies inside a cell share one telemetry ring exactly as the
-//!   serial loop did, so per-cell artifacts are untouched;
-//! * each cell gets its own private `Telemetry::ring`, sized like the
-//!   serial sweep's per-cell ring, so jobs never contend on a sink;
+//! * parallelism is at **(seed, scale) cell granularity**: the four
+//!   strategies of a cell share one fault schedule and one host-side
+//!   reference unpack;
+//! * cells record no trace. Every reported number comes from the run
+//!   itself: the reliability counters and the strategy's recovery
+//!   counts ([`nca_spin::nic::RunReport::recovery`]), so no ring size
+//!   can change an artifact, and with telemetry off
+//!   [`nca_spin::nic::EngineMode::Auto`] runs the eager DMA engine;
 //! * [`fault_sweep`] returns cells **in serial (seed-major, then
 //!   scale) order** regardless of worker count — `Pool::par_map`
 //!   preserves input ordering — so the emitted `FaultSweepDoc` is
@@ -20,7 +23,6 @@ use nca_ddt::types::Datatype;
 use nca_sim::{FaultSpec, Pool};
 use nca_spin::params::NicParams;
 use nca_telemetry::report::{FaultSummary, SweepCell};
-use nca_telemetry::Telemetry;
 
 use crate::report::fault_summary;
 use crate::runner::{Experiment, Strategy};
@@ -44,7 +46,9 @@ pub struct FaultSweepSpec {
     pub seeds: u64,
     /// Fault-rate scales (0.0 doubles as the lossless control).
     pub scales: Vec<f64>,
-    /// Capacity of each cell's private telemetry ring.
+    /// The scenario's `telemetry.ring_capacity`. The sweep records no
+    /// trace and does not read it; it is kept so existing spec literals
+    /// compile.
     pub ring_capacity: usize,
 }
 
@@ -64,9 +68,8 @@ impl FaultSweepSpec {
 
 /// Run one `(seed, scale)` cell: all strategies against one fault
 /// schedule, byte-exactness checked against a host-side unpack
-/// reference, with the cell's events captured in a private ring.
+/// reference.
 fn run_cell(spec: &FaultSweepSpec, seed: u64, scale: f64) -> Vec<SweepCell> {
-    let (tel, sink) = Telemetry::ring(spec.ring_capacity);
     let mut exp = Experiment::new(spec.dt.clone(), spec.count, spec.params.clone());
     exp.faults = spec.base.scaled(scale).with_seed(seed);
     exp.verify = false; // manual check below: report, don't panic
@@ -74,31 +77,23 @@ fn run_cell(spec: &FaultSweepSpec, seed: u64, scale: f64) -> Vec<SweepCell> {
     let packed = exp.packed_message();
     let mut expect = vec![0u8; span as usize];
     unpack(&exp.dt, exp.count, &packed, &mut expect, origin).expect("unpackable");
-    let mut cells = Vec::with_capacity(Strategy::ALL.len());
-    for s in Strategy::ALL {
-        exp.telemetry = tel.scoped(s.label());
-        let run = exp.run_modeled(s);
-        let byte_exact = run.report.host_buf == expect;
-        let events = sink.events();
-        let evs: Vec<_> = events
-            .iter()
-            .filter(|ev| ev.scope == s.label())
-            .cloned()
-            .collect();
-        let f = fault_summary(&run, &evs).unwrap_or_default();
-        cells.push(SweepCell {
-            seed,
-            scale,
-            strategy: s.label().to_string(),
-            byte_exact,
-            end_to_end_ps: run.report.processing_time(),
-            faults: FaultSummary {
-                delivered_exactly_once: run.report.rel.delivered_exactly_once,
-                ..f
-            },
-        });
-    }
-    cells
+    Strategy::ALL
+        .iter()
+        .map(|&s| {
+            let run = exp.run_modeled(s);
+            SweepCell {
+                seed,
+                scale,
+                strategy: s.label().to_string(),
+                byte_exact: run.report.host_buf == expect,
+                end_to_end_ps: run.report.processing_time(),
+                faults: FaultSummary {
+                    delivered_exactly_once: run.report.rel.delivered_exactly_once,
+                    ..fault_summary(&run, &[]).unwrap_or_default()
+                },
+            }
+        })
+        .collect()
 }
 
 /// Run the whole matrix on `pool`, one job per `(seed, scale)` cell.

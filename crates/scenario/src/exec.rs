@@ -4,8 +4,9 @@
 //! grid comes back in serial job order, so the printed tables and
 //! written artifacts are byte-identical. [`Scenario::compile`] also
 //! rejects, with a path-qualified error, inputs a run could not finish:
-//! receive spans over 1 GiB, more than 1024 tenants, and traffic cells
-//! expecting more than 2^21 offers.
+//! receive spans over 1 GiB, more than 1024 tenants, more than 2^16
+//! RSS slots, a horizon past the 64-bit picosecond clock, and traffic
+//! cells expecting more than 2^21 offers or 2^20 streaming buckets.
 
 use std::fmt::Write;
 
@@ -121,6 +122,14 @@ const MAX_TENANTS: u64 = 1 << 10;
 /// mean wire time): 23× the nightly soak's busiest cell (COMB/b at load
 /// 2.0 over 2 ms, about 91k offers).
 const MAX_CELL_OFFERS: f64 = (1u64 << 21) as f64;
+
+/// Most RSS indirection-table slots: 1024× the default 64.
+const MAX_RSS_ENTRIES: u64 = 1 << 16;
+
+/// Most streaming time-series buckets one traffic cell may need
+/// (horizon ÷ `telemetry.bucket_ps`): 524× the nightly soak's 2000
+/// (2 ms at the default 1 µs buckets).
+const MAX_CELL_BUCKETS: u64 = 1 << 20;
 
 /// Reject a vector or indexed workload whose receive span, bounded
 /// above by `copies × units × 8` bytes of doubles, exceeds
@@ -265,6 +274,33 @@ impl Scenario {
                         t.tenants
                     ));
                 }
+                if t.rss_entries > MAX_RSS_ENTRIES {
+                    return Err(format!(
+                        "scenario.traffic.rss_entries: {} slots exceed the bound of \
+                         {MAX_RSS_ENTRIES}",
+                        t.rss_entries
+                    ));
+                }
+                let mut spec = TrafficSweepSpec::new(t.seed);
+                if let Some(b) = self.telemetry.bucket_ps {
+                    spec.stream_bucket_ps = b;
+                }
+                spec.horizon_ps = t.horizon_us.checked_mul(1_000_000).ok_or_else(|| {
+                    format!(
+                        "scenario.traffic.horizon_us: {} us overflows the 64-bit \
+                         picosecond clock",
+                        t.horizon_us
+                    )
+                })?;
+                let buckets = spec.horizon_ps / spec.stream_bucket_ps;
+                if buckets > MAX_CELL_BUCKETS {
+                    return Err(format!(
+                        "scenario.traffic.horizon_us: {} us at {} ps per telemetry bucket \
+                         needs {buckets} streaming buckets per cell, above the bound of \
+                         {MAX_CELL_BUCKETS} (raise telemetry.bucket_ps)",
+                        t.horizon_us, spec.stream_bucket_ps
+                    ));
+                }
                 let params = NicParams::with_hpus(self.scheduling.hpus as usize);
                 for app in &t.apps {
                     let mix = app_group(app).ok_or_else(|| {
@@ -283,7 +319,6 @@ impl Scenario {
                         }
                     }
                 }
-                let mut spec = TrafficSweepSpec::new(t.seed);
                 spec.apps = t.apps;
                 spec.loads = t.loads;
                 spec.disciplines = t.disciplines;
@@ -293,12 +328,8 @@ impl Scenario {
                 spec.sigma = t.sigma;
                 spec.flows_per_tenant = t.flows_per_tenant;
                 spec.rss_entries = t.rss_entries as usize;
-                spec.horizon_ps = nca_sim::us(t.horizon_us);
                 spec.hpus = self.scheduling.hpus as usize;
                 spec.pkt_buffer_bytes = t.buffer_kib.map(|k| k << 10);
-                if let Some(b) = self.telemetry.bucket_ps {
-                    spec.stream_bucket_ps = b;
-                }
                 Ok(Plan::Traffic(spec))
             }
             ScenarioKind::Fig16 | ScenarioKind::DdtHostCompare => {

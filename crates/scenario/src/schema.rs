@@ -145,7 +145,8 @@ impl Default for SchedulingSpec {
 
 /// Telemetry capture request. Absent knobs fall back to each kind's
 /// historical default (strategy runs: a 4 Mi-event ring only when an
-/// artifact is requested; fault sweeps: a 1 Mi ring per cell).
+/// artifact is requested). Fault sweeps record no trace and ignore
+/// both knobs; traffic runs read only `bucket_ps`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TelemetrySpec {
     /// Ring capacity in events.

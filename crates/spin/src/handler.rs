@@ -91,6 +91,19 @@ impl HandlerCost {
     }
 }
 
+/// The recovery work a strategy did over one message, which the paper
+/// charges to the handlers' init and setup phases (Fig. 12). Counted by
+/// the handler itself, so it is exact whatever a trace captured.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct RecoveryStats {
+    /// Times an RW-CP checkpoint was reverted from its master copy
+    /// (out-of-order arrivals).
+    pub checkpoint_reverts: u64,
+    /// Blocks a handler walked to bring its segment up to the packet's
+    /// stream offset.
+    pub catchup_blocks: u64,
+}
+
 /// What a handler invocation produced.
 #[derive(Debug, Default)]
 pub struct HandlerOutput {
@@ -204,6 +217,14 @@ pub trait MessageProcessor {
     /// allocating a fresh vector per handler invocation. The default
     /// drops it.
     fn recycle_dma(&mut self, _scratch: Vec<DmaWrite>) {}
+
+    /// Recovery work done so far ([`RecoveryStats`]);
+    /// [`ReceiveSim::run`](crate::nic::ReceiveSim::run) reads it once the
+    /// message completes. Strategies that never catch up or revert keep
+    /// the all-zero default.
+    fn recovery(&self) -> RecoveryStats {
+        RecoveryStats::default()
+    }
 
     /// Short name for reports.
     fn name(&self) -> &'static str;

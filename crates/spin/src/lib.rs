@@ -23,7 +23,9 @@ pub mod params;
 pub mod sched;
 pub mod sender;
 
-pub use handler::{DmaWrite, HandlerCost, HandlerOutput, MessageProcessor, PacketCtx, SchedPolicy};
+pub use handler::{
+    DmaWrite, HandlerCost, HandlerOutput, MessageProcessor, PacketCtx, RecoveryStats, SchedPolicy,
+};
 pub use nic::{MsgPath, PortalsSetup, ReceiveSim, RunConfig, RunReport};
 pub use nicmem::NicMemory;
 pub use params::NicParams;

@@ -38,7 +38,9 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::handler::{DirectDst, DmaWrite, HandlerCost, MessageProcessor, PacketCtx};
+use crate::handler::{
+    DirectDst, DmaWrite, HandlerCost, MessageProcessor, PacketCtx, RecoveryStats,
+};
 use crate::params::{NicParams, ReliabilityParams};
 use crate::sched::Scheduler;
 
@@ -243,6 +245,11 @@ pub struct RunReport {
     pub events: Vec<FullEvent>,
     /// Fault-injection and reliable-delivery outcome.
     pub rel: ReliabilityStats,
+    /// Checkpoint reverts and catch-up blocks the strategy counted
+    /// ([`MessageProcessor::recovery`]). Unlike [`RunReport::rel`] these
+    /// can be nonzero on a lossless run: an HPU-local vHPU catches up over
+    /// the packets the other vHPUs took.
+    pub recovery: RecoveryStats,
     /// The eager engine was explicitly requested
     /// ([`EngineMode::Eager`]) but telemetry capture / DMA-history
     /// recording forced the event-driven engine instead.
@@ -1228,6 +1235,7 @@ impl ReceiveSim {
         let dma_max_queue = nic.dma.queue.max_occupancy().max(nic.dma.max_occ);
         let dma_history = nic.dma.queue.take_history();
         let msg = nic.msgs.pop().expect("one message");
+        let recovery = msg.proc.as_deref().expect(LIVE).recovery();
         RunReport {
             strategy: strategy_name,
             msg_bytes: msg.bytes,
@@ -1247,6 +1255,7 @@ impl ReceiveSim {
             path: msg.path,
             events: nic.events.into_all(),
             rel,
+            recovery,
             eager_fallback,
         }
     }

@@ -70,19 +70,49 @@ fn eager_dma_matches_event_driven_engine() {
 fn eager_dma_matches_event_driven_engine_under_faults() {
     // The reliable-delivery path re-runs handlers for retransmitted
     // packets; DMA arrivals stay FIFO at nondecreasing times, which is
-    // the property the eager schedule rests on.
-    let dt = Datatype::vector(256, 8, 16, &elem::double());
+    // the property the eager schedule rests on. The fault sweep runs
+    // this path (telemetry off, so eager) with this mix and datatype,
+    // and takes its reliability and recovery counts from the report.
+    let dt = Datatype::vector(512, 16, 32, &elem::double());
     let mut exp = Experiment::new(dt, 1, NicParams::with_hpus(16));
     exp.verify = true;
-    exp.faults = FaultSpec {
-        drop: 0.08,
-        ..FaultSpec::inert()
+    let mix = FaultSpec {
+        drop: 0.05,
+        duplicate: 0.02,
+        corrupt: 0.01,
+        reorder_window: 2_000_000,
+        seed: 1,
     };
-    for s in Strategy::ALL {
-        let eager = exp.run(s);
-        let mut hist = exp.clone();
-        hist.record_dma_history = true;
-        let evented = hist.run(s);
-        assert_equiv(&eager, &evented, &format!("{} faulty", s.label()));
+    let (mut retransmissions, mut catchup) = (0, 0);
+    for seed in 1..=4 {
+        exp.faults = mix.with_seed(seed);
+        for s in Strategy::ALL {
+            let what = format!("{} faulty, seed {seed}", s.label());
+            let eager = exp.run(s);
+            let mut hist = exp.clone();
+            hist.record_dma_history = true;
+            let evented = hist.run(s);
+            assert_equiv(&eager, &evented, &what);
+            assert_eq!(eager.rel, evented.rel, "{what}: rel");
+            assert_eq!(eager.recovery, evented.recovery, "{what}: recovery");
+
+            // Capture on, into a ring far too small to hold the run:
+            // the counts come from the handler, not the trace.
+            let mut tel = exp.clone();
+            let (sink, ring) = Telemetry::ring(64);
+            tel.telemetry = sink;
+            let traced = tel.run(s);
+            assert!(ring.dropped() > 0, "{what}: the ring must overflow");
+            assert_eq!(eager.rel, traced.rel, "{what}: traced rel");
+            assert_eq!(eager.recovery, traced.recovery, "{what}: traced recovery");
+
+            retransmissions += eager.rel.retransmissions;
+            catchup += eager.recovery.catchup_blocks;
+        }
     }
+    assert!(
+        retransmissions > 0,
+        "the mix must make the sender retransmit"
+    );
+    assert!(catchup > 0, "HPU-local must catch up");
 }

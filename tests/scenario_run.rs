@@ -1,16 +1,17 @@
 //! End-to-end tests of the declarative scenario layer through the
 //! `ncmt` facade: every shipped `scenarios/*.json` parses, compiles
-//! and runs; the `traffic` and `ddt-host-compare` scenarios reproduce
-//! their committed goldens byte-for-byte; scenario runs stay
-//! byte-identical at any worker count; and inputs a run could not
-//! finish are rejected at compile time, promptly, with a
-//! path-qualified error.
+//! and runs; the `traffic`, `ddt-host-compare` and `fault-sweep`
+//! scenarios reproduce their committed goldens byte-for-byte; scenario
+//! runs stay byte-identical at any worker count; fault counts do not
+//! depend on the trace ring's size; and inputs a run could not finish
+//! are rejected at compile time, promptly, with a path-qualified error.
 
 use std::sync::mpsc;
 use std::time::Duration;
 
 use ncmt::scenario::{parse_scenario, parse_scenario_with, Plan, RunOptions, Scenario};
 use ncmt::sim::Pool;
+use ncmt::telemetry::report::Json;
 
 fn repo_path(rel: &str) -> String {
     format!("{}/{rel}", env!("CARGO_MANIFEST_DIR"))
@@ -21,6 +22,15 @@ fn shipped(name: &str) -> Scenario {
     let text =
         std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("missing scenario {path}: {e}"));
     parse_scenario(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// A shipped scenario with `--set` overrides, compiled.
+fn shipped_with(name: &str, sets: &[&str]) -> Plan {
+    let path = repo_path(&format!("scenarios/{name}"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    parse_scenario_with(&text, sets)
+        .and_then(|scn| scn.compile())
+        .unwrap_or_else(|e| panic!("{path} {sets:?}: {e}"))
 }
 
 fn shipped_names() -> Vec<String> {
@@ -112,12 +122,12 @@ fn ddt_host_compare_reproduces_its_golden() {
         golden,
         "ddt-host-compare drifted from its golden; if the cost model or \
          datatype change is intended, regenerate with \
-         `cargo test --test scenario_run -- --ignored regenerate` and commit {path}"
+         `cargo test --test scenario_run -- --ignored regenerate_golden_ddt_host_compare` and commit {path}"
     );
 }
 
 /// Not a test: rewrites the ddt-host-compare golden. Run explicitly via
-/// `cargo test --test scenario_run -- --ignored regenerate`.
+/// `cargo test --test scenario_run -- --ignored regenerate_golden_ddt_host_compare`.
 #[test]
 #[ignore]
 fn regenerate_golden_ddt_host_compare() {
@@ -127,6 +137,100 @@ fn regenerate_golden_ddt_host_compare() {
     let out = plan.run(&Pool::from_env(None), &RunOptions::default());
     let path = repo_path("tests/golden/ddt_host_compare.json");
     std::fs::write(&path, out.artifact.expect("artifact").text).expect("write golden");
+}
+
+#[test]
+fn fault_sweep_reproduces_its_golden() {
+    let plan = shipped("fault_sweep.json").compile().expect("compiles");
+    let out = plan.run(&Pool::from_env(None), &RunOptions::default());
+    assert!(out.fail.is_none(), "{:?}", out.fail);
+    let path = repo_path("tests/golden/fault_sweep.json");
+    let golden =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("missing golden {path}: {e}"));
+    assert_eq!(
+        out.artifact.expect("fault-sweep artifact").text,
+        golden,
+        "the fault sweep drifted from its golden; if the fault or cost model \
+         change is intended, regenerate with \
+         `cargo test --test scenario_run -- --ignored regenerate_golden_fault_sweep` and commit {path}"
+    );
+}
+
+/// Not a test: rewrites the fault-sweep golden. Run explicitly via
+/// `cargo test --test scenario_run -- --ignored regenerate_golden_fault_sweep`.
+#[test]
+#[ignore]
+fn regenerate_golden_fault_sweep() {
+    let plan = shipped("fault_sweep.json").compile().expect("compiles");
+    let out = plan.run(&Pool::from_env(None), &RunOptions::default());
+    let path = repo_path("tests/golden/fault_sweep.json");
+    std::fs::write(&path, out.artifact.expect("artifact").text).expect("write golden");
+}
+
+#[test]
+fn fault_sweep_artifact_does_not_depend_on_the_ring_capacity() {
+    // Recovery counts once came from a per-cell trace ring: with 1000
+    // events HPU-local read 0 and 224 catch-up blocks instead of 5760
+    // and 6000, with exit 0.
+    let artifact = |sets: &[&str]| {
+        let out = shipped_with("fault_sweep.json", sets)
+            .run(&Pool::from_env(None), &RunOptions::default());
+        assert!(out.fail.is_none(), "{sets:?}: {:?}", out.fail);
+        out.artifact.expect("fault-sweep artifact").text
+    };
+    assert_eq!(
+        artifact(&["telemetry.ring_capacity=1000"]),
+        artifact(&[]),
+        "a 1000-event ring changed the fault-sweep artifact"
+    );
+}
+
+#[test]
+fn strategy_report_fault_blocks_do_not_depend_on_the_ring_capacity() {
+    let report = |ring: u64| {
+        let set = format!("telemetry.ring_capacity={ring}");
+        let plan = shipped_with(
+            "strategy_run.json",
+            &["faults.drop=0.05", "faults.duplicate=0.02", &set],
+        );
+        let opts = RunOptions {
+            want_trace: false,
+            want_report: true,
+        };
+        let out = plan.run(&Pool::from_env(None), &opts);
+        Json::parse(&out.artifact.expect("run report").text).expect("report parses")
+    };
+    let dropped = |doc: &Json| doc.get("trace_dropped_events").and_then(Json::as_f64);
+    let faults = |doc: &Json| -> Vec<(String, Json)> {
+        doc.get("strategies")
+            .and_then(Json::as_arr)
+            .expect("strategies")
+            .iter()
+            .map(|s| {
+                let name = s.get("name").and_then(Json::as_str).expect("name");
+                (name.to_string(), s.get("faults").expect("faults").clone())
+            })
+            .collect()
+    };
+    let small = report(1000);
+    let large = report(1 << 22);
+    assert!(dropped(&small) > Some(0.0), "the small ring must drop");
+    assert_eq!(dropped(&large), Some(0.0));
+    let (small, large) = (faults(&small), faults(&large));
+    assert_eq!(small.len(), 4);
+    assert_eq!(small, large, "a dropping ring changed a faults block");
+    // Exact, not merely equal. 32 packets of 16 blocks on 16 vHPUs:
+    // vHPU k first walks the 16k blocks before packet k, then the 240
+    // between packets k and k + 16, so 1920 + 3840 = 5760.
+    let hpu_local = &large
+        .iter()
+        .find(|(n, _)| n == "HPU-local")
+        .expect("HPU-local")
+        .1;
+    assert_eq!(
+        hpu_local.get("catchup_blocks").and_then(Json::as_f64),
+        Some(5760.0)
+    );
 }
 
 #[test]
@@ -234,6 +338,54 @@ fn receive_spans_are_bounded_before_the_datatype_is_built() {
         &[r#"workload={"kind": "indexed", "blocks": 1000000000, "blocklen": 1, "seed": 1}"#],
         "scenario.workload",
     );
+}
+
+#[test]
+fn rss_tables_and_horizons_are_bounded() {
+    // Aborted allocating a 40 TB indirection table.
+    assert_rejected(
+        "traffic.json",
+        &["traffic.rss_entries=10000000000000"],
+        "scenario.traffic.rss_entries",
+    );
+    compile_watched("traffic.json", &["traffic.rss_entries=65536"]).expect("at the bound");
+    assert_rejected(
+        "traffic.json",
+        &["traffic.rss_entries=65537"],
+        "scenario.traffic.rss_entries",
+    );
+    // Aborted allocating a 565 GB streaming-bucket vector.
+    let tiny_load = "traffic.loads=[1e-12]";
+    assert_rejected(
+        "traffic.json",
+        &[tiny_load, "traffic.horizon_us=18446744073709"],
+        "scenario.traffic.horizon_us",
+    );
+    // One microsecond more wraps the 64-bit picosecond clock.
+    assert_rejected(
+        "traffic.json",
+        &[tiny_load, "traffic.horizon_us=18446744073710"],
+        "scenario.traffic.horizon_us",
+    );
+    // The bucket bound is 2^20 per cell: 2^20 us at the default 1 us
+    // buckets fits, one more microsecond does not, and wider buckets
+    // admit a longer horizon.
+    compile_watched("traffic.json", &[tiny_load, "traffic.horizon_us=1048576"])
+        .expect("exactly at the bound");
+    assert_rejected(
+        "traffic.json",
+        &[tiny_load, "traffic.horizon_us=1048577"],
+        "scenario.traffic.horizon_us",
+    );
+    compile_watched(
+        "traffic.json",
+        &[
+            tiny_load,
+            "traffic.horizon_us=1048577",
+            "telemetry.bucket_ps=2000000",
+        ],
+    )
+    .expect("wider buckets");
 }
 
 #[test]

@@ -121,10 +121,14 @@ fn rwcp_revert_is_traced() {
         direct: None,
     };
     p.on_payload(&mut earlier);
-    assert_eq!(p.reverts, 1);
+    let rec = p.recovery();
+    assert_eq!(rec.checkpoint_reverts, 1);
     let roll = aggregate::rollup(&sink.events());
     assert_eq!(roll["core"].counters["checkpoint_reverts"], 1);
     assert_eq!(roll["core"].instants["checkpoint_revert"], 1);
+    // The processor's own counts, which run reports carry, match the
+    // trace's.
+    assert_eq!(rec.catchup_blocks, roll["core"].counters["catchup_blocks"]);
 }
 
 #[test]
