@@ -135,7 +135,7 @@ flags:
                   the document root (workload.count, traffic.loads);
                   missing sections are created. VALUE is JSON, or a
                   string when it is not valid JSON:
-                    --set scheduling.engine=eager
+                    --set traffic.arrival=mixed
                     --set 'traffic.apps=[\"COMB/b\",\"NAS-MG/a\"]'
                     --set 'workload={{\"kind\":\"app\",\"label\":\"MILC/b\"}}'
   --jobs N        worker threads (default: NCMT_JOBS, else cores;

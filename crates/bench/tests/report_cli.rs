@@ -263,7 +263,6 @@ fn synthetic_doc(e2e: u64) -> RunReportDoc {
                 epsilon_respected: true,
             }),
             faults: None,
-            eager_fallback: false,
         }],
     }
 }

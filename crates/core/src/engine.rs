@@ -9,82 +9,56 @@
 use nca_ddt::segment::{SegStats, Segment};
 use nca_ddt::sink::BlockSink;
 use nca_sim::PktView;
-use nca_spin::handler::DmaWrite;
+use nca_spin::handler::{DirectDst, DmaWrite};
 
-/// Sink that turns emitted blocks into DMA writes.
-///
-/// Without a direct destination each write is a subview of the packet
-/// payload — the block scatter re-slices the shared wire buffer instead
-/// of copying it. With `direct = Some((buf, origin))` the payload bytes
-/// are copied into the receive buffer on the spot (the eager-DMA
-/// regime, where landed bytes are unobservable until the run ends) and
-/// the collected writes carry lengths only.
-pub struct DmaSink<'a> {
+/// Sink that copies emitted blocks into the receive buffer on the spot
+/// and collects length-only DMA writes for the timing model (see
+/// [`DirectDst`]).
+pub struct DmaSink<'a, 'b> {
     /// Packet payload (stream bytes `[stream_base, stream_base+len)`).
     pub payload: &'a PktView,
     /// Stream offset of `payload[0]`.
     pub stream_base: u64,
     /// Collected writes.
     pub writes: Vec<DmaWrite>,
-    /// Direct-scatter destination (receive buffer, datatype origin).
-    pub direct: Option<(&'a mut [u8], i64)>,
+    /// The receive buffer and its datatype origin.
+    pub dst: &'a mut DirectDst<'b>,
 }
 
-impl BlockSink for DmaSink<'_> {
+impl BlockSink for DmaSink<'_, '_> {
     fn block(&mut self, buf_off: i64, len: u64, stream_off: u64) {
         let s = (stream_off - self.stream_base) as usize;
-        match &mut self.direct {
-            Some((buf, origin)) => {
-                let d = (buf_off - *origin) as usize;
-                nca_ddt::kernels::copy_block(buf, d, self.payload, s, len as usize);
-                self.writes.push(DmaWrite::len_only(buf_off, len));
-            }
-            None => self.writes.push(DmaWrite::data(
-                buf_off,
-                self.payload.subview(s, len as usize),
-            )),
-        }
+        let d = (buf_off - self.dst.origin) as usize;
+        nca_ddt::kernels::copy_block(self.dst.buf, d, self.payload, s, len as usize);
+        self.writes.push(DmaWrite::len_only(buf_off, len));
     }
 
     fn strided(&mut self, buf_off: i64, len: u64, stream_off: u64, n: u64, step: i64) {
         self.writes.reserve(n as usize);
-        let s = (stream_off - self.stream_base) as usize;
-        match &mut self.direct {
-            Some((buf, origin)) => {
-                nca_ddt::kernels::copy_strided(
-                    buf,
-                    buf_off - *origin,
-                    step,
-                    self.payload,
-                    s as i64,
-                    len as i64,
-                    len,
-                    n,
-                );
-                let mut b = buf_off;
-                for _ in 0..n {
-                    self.writes.push(DmaWrite::len_only(b, len));
-                    b += step;
-                }
-            }
-            None => {
-                let mut s = s;
-                let mut b = buf_off;
-                for _ in 0..n {
-                    self.writes
-                        .push(DmaWrite::data(b, self.payload.subview(s, len as usize)));
-                    s += len as usize;
-                    b += step;
-                }
-            }
+        let s = (stream_off - self.stream_base) as i64;
+        nca_ddt::kernels::copy_strided(
+            self.dst.buf,
+            buf_off - self.dst.origin,
+            step,
+            self.payload,
+            s,
+            len as i64,
+            len,
+            n,
+        );
+        let mut b = buf_off;
+        for _ in 0..n {
+            self.writes.push(DmaWrite::len_only(b, len));
+            b += step;
         }
     }
 }
 
 /// Process stream range `[first, first+payload.len())` on `seg` with
-/// catch-up/reset semantics, returning the DMA writes and the statistics
-/// delta of this call. `writes` is the (empty) scatter scratch vector —
-/// strategies feed back the vector the pipeline recycled via
+/// catch-up/reset semantics, scattering into `dst` and returning the
+/// DMA writes and the statistics delta of this call. `writes` is the
+/// (empty) scatter scratch vector — strategies feed back the vector the
+/// pipeline recycled via
 /// [`nca_spin::handler::MessageProcessor::recycle_dma`] so steady-state
 /// packets allocate nothing.
 pub fn scatter_packet(
@@ -92,7 +66,7 @@ pub fn scatter_packet(
     first: u64,
     payload: &PktView,
     writes: Vec<DmaWrite>,
-    direct: Option<(&mut [u8], i64)>,
+    dst: &mut DirectDst<'_>,
 ) -> (Vec<DmaWrite>, SegStats) {
     debug_assert!(writes.is_empty());
     let before = seg.stats;
@@ -100,7 +74,7 @@ pub fn scatter_packet(
         payload,
         stream_base: first,
         writes,
-        direct,
+        dst,
     };
     seg.process_range(first, first + payload.len() as u64, &mut sink)
         .expect("packet range within message");
@@ -123,10 +97,10 @@ pub fn scatter_packet_seek(
     first: u64,
     payload: &PktView,
     writes: Vec<DmaWrite>,
-    direct: Option<(&mut [u8], i64)>,
+    dst: &mut DirectDst<'_>,
 ) -> (Vec<DmaWrite>, SegStats) {
     seg.seek(first).expect("packet offset within message");
-    scatter_packet(seg, first, payload, writes, direct)
+    scatter_packet(seg, first, payload, writes, dst)
 }
 
 #[cfg(test)]
@@ -135,17 +109,26 @@ mod tests {
     use nca_ddt::dataloop::compile;
     use nca_ddt::types::{elem, Datatype, DatatypeExt};
 
+    /// A zeroed 64-byte receive buffer at origin 0.
+    fn dst(buf: &mut [u8]) -> DirectDst<'_> {
+        DirectDst { buf, origin: 0 }
+    }
+
     #[test]
     fn scatter_produces_block_writes() {
         let dt = Datatype::vector(8, 1, 2, &elem::int()); // 8 x 4B blocks
         let dl = compile(&dt, 1);
         let mut seg = Segment::new(dl);
         let payload: PktView = (0..16u8).collect::<Vec<u8>>().into();
-        let (writes, stats) = scatter_packet(&mut seg, 0, &payload, Vec::new(), None);
+        let mut buf = [0u8; 64];
+        let (writes, stats) = scatter_packet(&mut seg, 0, &payload, Vec::new(), &mut dst(&mut buf));
         assert_eq!(writes.len(), 4);
         assert_eq!(stats.blocks_emitted, 4);
         assert_eq!(writes[1].host_off, 8);
-        assert_eq!(writes[1].data, vec![4, 5, 6, 7]);
+        assert_eq!(writes[1].len, 4);
+        assert!(writes[1].data.is_empty());
+        assert_eq!(buf[8..12], [4, 5, 6, 7]);
+        assert_eq!(buf[4..8], [0; 4], "gaps stay untouched");
     }
 
     #[test]
@@ -154,7 +137,8 @@ mod tests {
         let dl = compile(&dt, 1);
         let mut seg = Segment::new(dl);
         let payload: PktView = vec![0u8; 8].into();
-        let (_, stats) = scatter_packet(&mut seg, 16, &payload, Vec::new(), None);
+        let mut buf = [0u8; 64];
+        let (_, stats) = scatter_packet(&mut seg, 16, &payload, Vec::new(), &mut dst(&mut buf));
         assert_eq!(stats.catchup_blocks, 4);
         assert_eq!(stats.blocks_emitted, 2);
     }
@@ -165,7 +149,9 @@ mod tests {
         let dl = compile(&dt, 1);
         let mut seg = Segment::new(dl);
         let payload: PktView = vec![0u8; 8].into();
-        let (writes, stats) = scatter_packet_seek(&mut seg, 16, &payload, Vec::new(), None);
+        let mut buf = [0u8; 64];
+        let (writes, stats) =
+            scatter_packet_seek(&mut seg, 16, &payload, Vec::new(), &mut dst(&mut buf));
         assert_eq!(stats.catchup_blocks, 0);
         assert_eq!(writes.len(), 2);
         assert_eq!(writes[0].host_off, 32);

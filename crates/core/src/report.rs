@@ -136,7 +136,6 @@ pub fn strategy_report(
         utilization: Some(utilization),
         model,
         faults,
-        eager_fallback: r.eager_fallback,
     };
     out.set_attribution(&attribution);
     out

@@ -163,9 +163,7 @@ pub struct Experiment {
     /// `params.nic_mem_capacity`; instead degrade gracefully to a
     /// contiguous landing + host unpack (still byte-exact).
     pub enforce_nic_capacity: bool,
-    /// DMA/handler engine selection. [`EngineMode::Auto`] (the default)
-    /// keeps the historical behaviour: eager whenever no telemetry
-    /// capture needs per-event timing.
+    /// Selects nothing (see [`EngineMode`]).
     pub engine: EngineMode,
 }
 
@@ -184,7 +182,7 @@ impl Experiment {
             faults: FaultSpec::inert(),
             reliability: ReliabilityParams::default(),
             enforce_nic_capacity: false,
-            engine: EngineMode::Auto,
+            engine: EngineMode,
         }
     }
 

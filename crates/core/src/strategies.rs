@@ -235,7 +235,7 @@ impl MessageProcessor for GeneralProcessor {
     fn on_payload(&mut self, ctx: &mut PacketCtx<'_>) -> HandlerOutput {
         let first = ctx.stream_offset;
         let scratch = self.scratch.pop().unwrap_or_default();
-        let direct = ctx.direct.as_mut().map(|d| (&mut *d.buf, d.origin));
+        let direct = &mut ctx.direct;
         // `ckpt_copy`: the handler paid for materializing a checkpoint.
         let (dma, stats, ckpt_copy) = match self.kind {
             GeneralKind::HpuLocal => {
@@ -410,7 +410,7 @@ impl MessageProcessor for SpecializedProcessor {
 
     fn on_payload(&mut self, ctx: &mut PacketCtx<'_>) -> HandlerOutput {
         let scratch = self.scratch.pop().unwrap_or_default();
-        let direct = ctx.direct.as_mut().map(|d| (&mut *d.buf, d.origin));
+        let direct = &mut ctx.direct;
         let (dma, stats) = scatter_packet_seek(
             &mut self.seg,
             ctx.stream_offset,
@@ -490,7 +490,7 @@ mod tests {
             telemetry: Telemetry::disabled(),
             faults: nca_sim::FaultSpec::inert(),
             reliability: nca_spin::params::ReliabilityParams::default(),
-            engine: nca_spin::nic::EngineMode::Auto,
+            engine: nca_spin::nic::EngineMode,
         };
         let name = proc_.name();
         let report = ReceiveSim::run(proc_, packed, origin, span, &cfg);

@@ -11,8 +11,7 @@
 //! * cells record no trace. Every reported number comes from the run
 //!   itself: the reliability counters and the strategy's recovery
 //!   counts ([`nca_spin::nic::RunReport::recovery`]), so no ring size
-//!   can change an artifact, and with telemetry off
-//!   [`nca_spin::nic::EngineMode::Auto`] runs the eager DMA engine;
+//!   can change an artifact, and no trace emission costs anything;
 //! * [`fault_sweep`] returns cells **in serial (seed-major, then
 //!   scale) order** regardless of worker count — `Pool::par_map`
 //!   preserves input ordering — so the emitted `FaultSweepDoc` is

@@ -16,7 +16,6 @@ use nca_core::sweep::{cell_ok, fault_sweep, FaultSweepSpec};
 use nca_ddt::normalize::classify;
 use nca_ddt::types::{elem, Datatype, DatatypeExt};
 use nca_sim::{FaultSpec, Pool};
-use nca_spin::nic::EngineMode;
 use nca_spin::params::NicParams;
 use nca_telemetry::export;
 use nca_telemetry::report::{FaultSweepDoc, RunReportDoc};
@@ -76,7 +75,6 @@ pub struct StrategyPlan {
     pub workload_line: Option<String>,
     pub hpus: usize,
     pub epsilon: f64,
-    pub engine: EngineMode,
     pub out_of_order: Option<u64>,
     pub faults: FaultSpec,
     /// Explicit telemetry ring request; `None` falls back to the
@@ -125,6 +123,13 @@ const MAX_CELL_OFFERS: f64 = (1u64 << 21) as f64;
 
 /// Most RSS indirection-table slots: 1024× the default 64.
 const MAX_RSS_ENTRIES: u64 = 1 << 16;
+
+/// Most HPUs a scenario may configure: 32× Fig. 13's largest (32).
+const MAX_HPUS: u64 = 1 << 10;
+
+/// Most (seed, scale) cells one fault sweep may run: 42× the nightly
+/// sweep's 96 (32 seeds × 3 scales).
+const MAX_SWEEP_CELLS: u128 = 1 << 12;
 
 /// Most streaming time-series buckets one traffic cell may need
 /// (horizon ÷ `telemetry.bucket_ps`): 524× the nightly soak's 2000
@@ -210,6 +215,12 @@ impl Scenario {
                 "scenario.traffic: only traffic scenarios use a traffic section".to_string(),
             );
         }
+        if self.scheduling.hpus > MAX_HPUS {
+            return Err(format!(
+                "scenario.scheduling.hpus: {} HPUs exceed the bound of {MAX_HPUS}",
+                self.scheduling.hpus
+            ));
+        }
         let base = FaultSpec {
             drop: self.faults.drop,
             duplicate: self.faults.duplicate,
@@ -230,7 +241,6 @@ impl Scenario {
                     workload_line,
                     hpus: self.scheduling.hpus as usize,
                     epsilon: self.scheduling.epsilon,
-                    engine: self.scheduling.engine,
                     out_of_order: self.scheduling.out_of_order,
                     faults: base,
                     ring_capacity: self.telemetry.ring_capacity.map(|v| v as usize),
@@ -242,6 +252,15 @@ impl Scenario {
                     return Err("scenario.faults: fault-sweep needs at least one nonzero \
                                 fault rate (drop/duplicate/corrupt/reorder_ns)"
                         .to_string());
+                }
+                let cells = self.sweep.seeds as u128 * self.sweep.scales.len() as u128;
+                if cells > MAX_SWEEP_CELLS {
+                    return Err(format!(
+                        "scenario.sweep: {} seeds × {} scales make {cells} cells, above \
+                         the bound of {MAX_SWEEP_CELLS}",
+                        self.sweep.seeds,
+                        self.sweep.scales.len()
+                    ));
                 }
                 let w = self
                     .workload
@@ -397,7 +416,6 @@ pub fn run_strategy(plan: &StrategyPlan, pool: &Pool, opts: &RunOptions) -> Outc
     exp.out_of_order = plan.out_of_order;
     exp.verify = plan.dt.size * plan.copies as u64 <= 16 << 20;
     exp.faults = plan.faults;
-    exp.engine = plan.engine;
     let faulty = !exp.faults.is_inert();
 
     let mut o = String::new();

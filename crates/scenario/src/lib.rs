@@ -136,12 +136,12 @@ mod tests {
         let scn = parse_scenario_with(
             VECTOR_RUN,
             &[
-                "scheduling.engine=eager",
+                "name=renamed-run",
                 r#"workload={"kind": "app", "label": "MILC/b"}"#,
             ],
         )
         .unwrap();
-        assert_eq!(scn.scheduling.engine, nca_spin::nic::EngineMode::Eager);
+        assert_eq!(scn.name, "renamed-run");
         let want = WorkloadSpec::App {
             label: "MILC/b".to_string(),
         };

@@ -7,7 +7,6 @@
 //! discipline the code cannot run.
 
 use nca_core::runner::Strategy;
-use nca_spin::nic::EngineMode;
 use nca_spin::sched::QueueDiscipline;
 use nca_telemetry::report::Json;
 use nca_traffic::{app_group, ArrivalKind};
@@ -208,18 +207,6 @@ fn scheduling(j: &Json, path: &str) -> Result<SchedulingSpec, String> {
             o.at("epsilon")
         ));
     }
-    let engine = match o.get("engine") {
-        Some(j) => {
-            let s = string(j, &o.at("engine"))?;
-            EngineMode::parse(s).ok_or_else(|| {
-                format!(
-                    "{}: unknown engine {s:?} (want auto, event or eager)",
-                    o.at("engine")
-                )
-            })?
-        }
-        None => d.engine,
-    };
     let copies = o
         .get("copies")
         .map(|j| uint(j, &o.at("copies")))
@@ -235,7 +222,6 @@ fn scheduling(j: &Json, path: &str) -> Result<SchedulingSpec, String> {
     let spec = SchedulingSpec {
         hpus,
         epsilon,
-        engine,
         copies: copies as u32,
         out_of_order,
     };
@@ -458,7 +444,7 @@ fn sweep(j: &Json, path: &str) -> Result<SweepSpec, String> {
 
 /// Apply one `path=value` override to the document tree. The value is
 /// parsed as JSON; anything that is not valid JSON is taken as a string
-/// (`scheduling.engine=eager`). Missing objects along the path are
+/// (`traffic.arrival=mixed`). Missing objects along the path are
 /// created, so the strict parser then judges an override exactly like a
 /// key written in the file.
 fn apply_set(doc: &mut Json, set: &str) -> Result<(), String> {

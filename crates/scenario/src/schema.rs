@@ -10,7 +10,6 @@
 use std::fmt::Write;
 
 use nca_core::runner::Strategy;
-use nca_spin::nic::EngineMode;
 use nca_spin::sched::QueueDiscipline;
 use nca_traffic::ArrivalKind;
 
@@ -122,9 +121,6 @@ pub struct SchedulingSpec {
     pub hpus: u64,
     /// RW-CP scheduling-overhead bound ε.
     pub epsilon: f64,
-    /// DMA engine selection (`auto` keeps the historical behaviour:
-    /// eager when nothing needs per-event timing).
-    pub engine: EngineMode,
     /// Datatype repetition count (strategy runs and fault sweeps).
     pub copies: u32,
     /// Shuffle payload-packet arrival order with this seed.
@@ -136,7 +132,6 @@ impl Default for SchedulingSpec {
         SchedulingSpec {
             hpus: 16,
             epsilon: 0.2,
-            engine: EngineMode::Auto,
             copies: 1,
             out_of_order: None,
         }
@@ -368,11 +363,9 @@ impl Scenario {
             .unwrap_or_default();
         let _ = writeln!(
             o,
-            "  \"scheduling\": {{ \"hpus\": {}, \"epsilon\": {}, \"engine\": \"{}\", \
-             \"copies\": {}{} }},",
+            "  \"scheduling\": {{ \"hpus\": {}, \"epsilon\": {}, \"copies\": {}{} }},",
             s.hpus,
             fmt_f64(s.epsilon),
-            s.engine.label(),
             s.copies,
             ooo
         );

@@ -10,7 +10,6 @@ use nca_scenario::{
     parse_scenario, FaultsSpec, Scenario, ScenarioKind, SchedulingSpec, SweepSpec, TelemetrySpec,
     TrafficSpec, WorkloadSpec,
 };
-use nca_spin::nic::EngineMode;
 use nca_spin::sched::QueueDiscipline;
 use nca_traffic::ArrivalKind;
 
@@ -82,19 +81,15 @@ fn arb_scheduling() -> impl Strategy<Value = SchedulingSpec> {
     (
         1u64..1024,
         0.0f64..8.0,
-        (0..EngineMode::ALL.len()).prop_map(|i| EngineMode::ALL[i]),
         1u32..64,
         prop_oneof![Just(None), (0u64..MAX_UINT).prop_map(Some)],
     )
-        .prop_map(
-            |(hpus, epsilon, engine, copies, out_of_order)| SchedulingSpec {
-                hpus,
-                epsilon,
-                engine,
-                copies,
-                out_of_order,
-            },
-        )
+        .prop_map(|(hpus, epsilon, copies, out_of_order)| SchedulingSpec {
+            hpus,
+            epsilon,
+            copies,
+            out_of_order,
+        })
 }
 
 fn arb_telemetry() -> impl Strategy<Value = TelemetrySpec> {

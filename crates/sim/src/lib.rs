@@ -18,7 +18,6 @@ pub mod arena;
 pub mod calendar;
 pub mod engine;
 pub mod fault;
-pub mod fifo;
 pub mod pool;
 pub mod profile;
 pub mod stats;
@@ -29,7 +28,6 @@ pub use arena::PooledBuf;
 pub use calendar::CalendarQueue;
 pub use engine::{Sim, SimProbe, Time};
 pub use fault::{DeliveredCopy, FaultInjector, FaultSpec, Verdict};
-pub use fifo::TrackedFifo;
 pub use pool::Pool;
 pub use units::{ns, ps, us, Bandwidth};
 pub use wire::{PktView, WireBuf};

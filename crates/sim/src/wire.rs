@@ -11,9 +11,8 @@
 //!   stream (`Arc<[u8]>`). Cloning it is a refcount bump; the bytes are
 //!   written exactly once, when the buffer is built from a `Vec<u8>`.
 //! - [`PktView`] is a `{buf, offset, len}` handle into a `WireBuf` —
-//!   the payload of one packet. It derefs to `&[u8]`, clones for the
-//!   price of an `Arc` clone, and can be re-sliced ([`PktView::subview`])
-//!   without touching the underlying bytes.
+//!   the payload of one packet. It derefs to `&[u8]` and clones for the
+//!   price of an `Arc` clone, without touching the underlying bytes.
 //!
 //! Mutation is deliberately absent. The one consumer that needs to
 //! change payload bytes — fault-injected corruption — does so
@@ -178,25 +177,6 @@ impl PktView {
     pub fn offset(&self) -> usize {
         self.off
     }
-
-    /// A narrower view within this one: `rel_off` is relative to this
-    /// view's start. Shares the same backing buffer — no bytes move.
-    pub fn subview(&self, rel_off: usize, len: usize) -> PktView {
-        assert!(
-            rel_off + len <= self.len,
-            "subview {rel_off}..{} out of bounds for PktView of {} bytes",
-            rel_off + len,
-            self.len
-        );
-        if len == 0 {
-            return PktView::empty();
-        }
-        PktView {
-            buf: self.buf.clone(),
-            off: self.off + rel_off,
-            len,
-        }
-    }
 }
 
 impl From<Vec<u8>> for PktView {
@@ -299,15 +279,6 @@ mod tests {
         assert_eq!(&v[..], &[8, 9, 10, 11]);
         assert_eq!(v.len(), 4);
         assert_eq!(v.offset(), 8);
-    }
-
-    #[test]
-    fn subview_is_relative_and_shares_storage() {
-        let w: WireBuf = (0u8..32).collect::<Vec<u8>>().into();
-        let v = w.view(8, 16);
-        let s = v.subview(4, 4);
-        assert_eq!(&s[..], &[12, 13, 14, 15]);
-        assert!(std::ptr::eq(s.as_ref().as_ptr(), w.as_ref()[12..].as_ptr()));
     }
 
     #[test]

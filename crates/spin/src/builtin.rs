@@ -36,17 +36,13 @@ impl MessageProcessor for ContigProcessor {
     }
 
     fn on_payload(&mut self, ctx: &mut PacketCtx<'_>) -> HandlerOutput {
+        // One whole-payload block: copy it now, length-only write.
         let host_off = self.base + ctx.stream_offset as i64;
-        let w = match &mut ctx.direct {
-            Some(d) => {
-                // One whole-payload block: copy it now, length-only write.
-                let start = (host_off - d.origin) as usize;
-                let len = ctx.payload.len();
-                d.buf[start..start + len].copy_from_slice(ctx.payload);
-                DmaWrite::len_only(host_off, len as u64)
-            }
-            None => DmaWrite::data(host_off, ctx.payload.clone()),
-        };
+        let d = &mut ctx.direct;
+        let start = (host_off - d.origin) as usize;
+        let len = ctx.payload.len();
+        d.buf[start..start + len].copy_from_slice(ctx.payload);
+        let w = DmaWrite::len_only(host_off, len as u64);
         HandlerOutput {
             cost: HandlerCost {
                 init: self.handler_time,
@@ -102,7 +98,7 @@ mod tests {
                 telemetry: nca_telemetry::Telemetry::disabled(),
                 faults: nca_sim::FaultSpec::inert(),
                 reliability: crate::params::ReliabilityParams::default(),
-                engine: crate::nic::EngineMode::Auto,
+                engine: crate::nic::EngineMode,
             };
             let report = ReceiveSim::run(proc, msg.clone(), 0, msg.len() as u64, &cfg);
             assert_eq!(report.host_buf, msg, "seed {seed}");

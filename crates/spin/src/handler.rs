@@ -17,14 +17,15 @@ pub struct DmaWrite {
     /// Destination offset in the receive buffer (relative to the
     /// datatype origin; may be negative for types with negative lb).
     pub host_off: i64,
-    /// The bytes to write (empty for the completion signal). A view into
-    /// the shared wire buffer — handlers scatter by re-slicing the
-    /// packet's payload, never by copying it.
+    /// The bytes to write: a view into the shared wire buffer, which the
+    /// DMA engine copies into the receive buffer when the write is
+    /// enqueued (the non-processing and unexpected paths). Empty for
+    /// handler writes, whose bytes a direct scatter already landed (see
+    /// [`PacketCtx::direct`]), and for the completion signal.
     pub data: PktView,
     /// Write length in bytes — what the DMA timing model charges. Equals
-    /// `data.len()` for view-carrying writes; length-only writes (bytes
-    /// already landed by a direct scatter, see [`PacketCtx::direct`])
-    /// have empty `data` but a nonzero `len`.
+    /// `data.len()` for view-carrying writes; length-only writes have
+    /// empty `data` but a nonzero `len`.
     pub len: u64,
     /// Whether completion generates a full event (the paper's handlers
     /// pass `NO_EVENT` for all but the final zero-byte write).
@@ -115,12 +116,12 @@ pub struct HandlerOutput {
 
 /// Direct-scatter destination: the pipeline's host receive buffer.
 ///
-/// When the DMA engine resolves service times eagerly (telemetry off, no
-/// occupancy series — every benchmark hot loop), the landed bytes are
-/// observable only at the end of the run, so handlers may copy payload
-/// bytes into the receive buffer *immediately* and emit length-only DMA
-/// writes for the timing model. That skips one wire-buffer view per
-/// contiguous block plus a second pass over the data at landing time.
+/// The DMA engine resolves every write's service window when it is
+/// enqueued, and nothing reads a receive buffer before its message's
+/// completion write lands, so handlers copy payload bytes into the
+/// receive buffer *immediately* and emit length-only DMA writes for the
+/// timing model. That skips one wire-buffer view per contiguous block
+/// plus a second pass over the data.
 pub struct DirectDst<'a> {
     /// The receive buffer.
     pub buf: &'a mut [u8],
@@ -132,8 +133,7 @@ pub struct DirectDst<'a> {
 /// Per-packet context handed to the payload handler.
 pub struct PacketCtx<'a> {
     /// The packet payload: a view into the shared wire buffer. Derefs to
-    /// `&[u8]`; handlers that scatter ranges of it into host memory use
-    /// [`PktView::subview`] so DMA writes share the buffer too.
+    /// `&[u8]`.
     pub payload: &'a PktView,
     /// Offset of `payload[0]` in the packed message stream.
     pub stream_offset: u64,
@@ -146,9 +146,8 @@ pub struct PacketCtx<'a> {
     /// Simulated time the handler starts (ps), so strategies can stamp
     /// their own telemetry without a side channel to the engine.
     pub now: Time,
-    /// `Some` when the engine wants bytes scattered directly (see
-    /// [`DirectDst`]); `None` demands view-carrying DMA writes.
-    pub direct: Option<DirectDst<'a>>,
+    /// Where the handler scatters the payload bytes (see [`DirectDst`]).
+    pub direct: DirectDst<'a>,
 }
 
 /// Packet scheduling policy (paper Sec. 3.2.1).

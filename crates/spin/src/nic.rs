@@ -20,6 +20,13 @@
 //! the open-loop traffic engine (`nca-traffic`) admits seeded offers
 //! from many tenants against the packet buffer.
 //!
+//! Everything up to the handlers is simulator events. The DMA engine
+//! is not: it resolves each write's channel and service window when the
+//! write is enqueued, and each message's completion write lands as one
+//! event at its computed landing time. Its trace, occupancy series and
+//! source hooks come from the same schedule, so observing a run never
+//! changes what runs.
+//!
 //! The *message processing time* reported is the paper's definition:
 //! from the first byte of the message arriving at the NIC to the last
 //! byte landing in the receive buffer (signalled by the completion
@@ -30,9 +37,7 @@ use std::collections::{HashMap, VecDeque};
 use nca_portals::event::{EventKind, EventQueue, FullEvent};
 use nca_portals::matching::{MatchOutcome, MatchingUnit};
 use nca_portals::packet::{packetize_wire, stamp_checksums, Packet};
-use nca_sim::{
-    DeliveredCopy, FaultInjector, FaultSpec, PooledBuf, Sim, Time, TrackedFifo, WireBuf,
-};
+use nca_sim::{DeliveredCopy, FaultInjector, FaultSpec, PooledBuf, Sim, Time, WireBuf};
 use nca_telemetry::{hist::LogHistogram, probe::SimTelemetryProbe, Telemetry};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -68,47 +73,15 @@ pub enum MsgPath {
     Discarded,
 }
 
-/// Which DMA/handler engine a run uses (PR 8's eager batched-DMA mode
-/// vs the fully event-driven engine).
+/// Selects nothing: the NIC has one DMA engine, whatever a run
+/// observes. It survives only as the type of [`RunConfig::engine`] and
+/// `nca_core::runner::Experiment::engine`, because the scenario
+/// benchmark (`benchmark/src/decompose.rs`) builds [`RunConfig`] as a
+/// full struct literal from `Experiment::engine`. A benchmark-only
+/// change that stops naming the field deletes this type and both
+/// fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineMode {
-    /// Pick automatically: eager whenever nothing needs per-event DMA
-    /// timing (no telemetry capture, no DMA-history recording),
-    /// event-driven otherwise. This is the historical behaviour.
-    #[default]
-    Auto,
-    /// Always the event-driven engine.
-    Event,
-    /// Request the eager engine. When telemetry capture or DMA-history
-    /// recording needs per-event times the run silently *cannot* honour
-    /// the request: it falls back to the event engine, warns once on
-    /// stderr, and sets [`RunReport::eager_fallback`].
-    Eager,
-}
-
-impl EngineMode {
-    /// Every mode, declaration order.
-    pub const ALL: [EngineMode; 3] = [EngineMode::Auto, EngineMode::Event, EngineMode::Eager];
-
-    /// Stable label used in scenario files and reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            EngineMode::Auto => "auto",
-            EngineMode::Event => "event",
-            EngineMode::Eager => "eager",
-        }
-    }
-
-    /// Parse a scenario/CLI label.
-    pub fn parse(s: &str) -> Option<EngineMode> {
-        match s {
-            "auto" => Some(EngineMode::Auto),
-            "event" => Some(EngineMode::Event),
-            "eager" => Some(EngineMode::Eager),
-            _ => None,
-        }
-    }
-}
+pub struct EngineMode;
 
 /// Configuration of one simulated receive.
 pub struct RunConfig {
@@ -117,7 +90,8 @@ pub struct RunConfig {
     /// `Some(seed)` shuffles payload-packet arrival order (header stays
     /// first, completion stays last) to exercise out-of-order handling.
     pub out_of_order: Option<u64>,
-    /// Record the full DMA-queue occupancy time series (Fig. 15).
+    /// Record the full DMA-queue occupancy time series (Fig. 15) into
+    /// [`RunReport::dma_history`]. It only requests the series.
     pub record_dma_history: bool,
     /// Portals matching state. `None` models an implicit
     /// execution-context-attached ME (every packet goes to sPIN).
@@ -133,7 +107,7 @@ pub struct RunConfig {
     /// Retransmission/ack protocol parameters (consulted only when
     /// `faults` is not inert).
     pub reliability: ReliabilityParams,
-    /// DMA/handler engine selection ([`EngineMode::Auto`] by default).
+    /// Selects nothing (see [`EngineMode`]).
     pub engine: EngineMode,
 }
 
@@ -148,7 +122,7 @@ impl RunConfig {
             telemetry: Telemetry::disabled(),
             faults: FaultSpec::inert(),
             reliability: ReliabilityParams::default(),
-            engine: EngineMode::Auto,
+            engine: EngineMode,
         }
     }
 }
@@ -250,10 +224,6 @@ pub struct RunReport {
     /// can be nonzero on a lossless run: an HPU-local vHPU catches up over
     /// the packets the other vHPUs took.
     pub recovery: RecoveryStats,
-    /// The eager engine was explicitly requested
-    /// ([`EngineMode::Eager`]) but telemetry capture / DMA-history
-    /// recording forced the event-driven engine instead.
-    pub eager_fallback: bool,
 }
 
 impl RunReport {
@@ -309,10 +279,17 @@ pub trait MessageSource: Sized + 'static {
     fn steer(&self, m: usize, vhpu: u64) -> usize;
 
     /// Message `m`'s completion write landed at `t`; `buf` is its final
-    /// receive buffer. With the event DMA engine this runs as its own
-    /// simulator event at landing time, so a source that admits work
-    /// against completions sees them in simulated-time order.
+    /// receive buffer. This runs as its own simulator event at landing
+    /// time, so a source that admits work against completions sees them
+    /// in simulated-time order.
     fn landed(&mut self, _m: usize, _t: Time, _buf: &[u8]) {}
+
+    /// Whether the `trace_*` hooks record anything. The core skips its
+    /// per-write DMA trace emission when neither this nor its own
+    /// telemetry nor the occupancy series observes it.
+    fn traced(&self) -> bool {
+        false
+    }
 
     /// A handler of `runtime` starts at `now` on physical HPU `hpu` (a
     /// real index under dFCFS, 0 under the pooled disciplines).
@@ -391,49 +368,32 @@ impl<T> Slots<T> {
     }
 }
 
+/// The DMA/PCIe engine: `dma_channels` channels serve one FIFO of
+/// writes. Writes leave the FIFO in order, so a write's channel and
+/// service window depend only on the writes before it and are resolved
+/// when it is enqueued ([`Nic::enqueue_dma`]); the engine schedules no
+/// per-write event.
 #[derive(Default)]
 struct DmaEngine {
-    /// Queued writes with the index of the message they belong to.
-    queue: TrackedFifo<(usize, DmaWrite)>,
-    /// Per-channel busy flags (index = channel, i.e. the trace track).
-    chan_busy: Vec<bool>,
-    /// The write each busy channel is currently servicing. Parking the
-    /// write here (instead of capturing it in a closure) lets the
-    /// service-done event be a plain allocation-free function call.
-    chan_slot: Vec<Option<(usize, DmaWrite)>>,
-    /// Batched mode (one-message receives only): with telemetry off and
-    /// no occupancy time series requested, the multi-channel FIFO
-    /// service discipline is computed algebraically at enqueue time —
-    /// service start is `max(now, earliest channel availability)` (all
-    /// channels for the ordered completion write) — and the bytes land
-    /// immediately, so the engine emits no simulator events at all.
-    /// Timing is exact: landing time is service completion plus the
-    /// constant PCIe latency either way.
-    eager: bool,
-    /// Eager mode: per-channel service-completion times.
+    /// Per-channel service-completion times.
     free_at: Vec<Time>,
-    /// Eager mode: service-start (= queue-leave) times not yet folded
-    /// into the occupancy model. Service starts are provably
-    /// nondecreasing (arrivals are FIFO at nondecreasing times and the
-    /// earliest-free-channel bound never moves backwards), so a deque
-    /// suffices — no heap.
+    /// Per-channel assignment order of the channel's latest write: among
+    /// channels freeing at the same picosecond, the one assigned first
+    /// frees first and takes the next write.
+    order: Vec<u64>,
+    /// Service start of the previous write: the FIFO head cannot start
+    /// before it.
+    head: Time,
+    /// Service starts (queue-leave times) not yet folded into the
+    /// occupancy model. They never decrease, so a deque suffices.
     starts: VecDeque<Time>,
-    /// Eager mode: modelled queue occupancy and its high-water mark
-    /// (`dma_max_queue` must match the event-driven engine).
+    /// Modelled queue occupancy and its high-water mark.
     occ: usize,
     max_occ: usize,
+    /// The `(time, occupancy)` series, when requested.
+    history: Option<Vec<(Time, usize)>>,
     writes: u64,
     bytes: u64,
-}
-
-impl DmaEngine {
-    fn busy_count(&self) -> usize {
-        self.chan_busy.iter().filter(|&&b| b).count()
-    }
-
-    fn free_channel(&self) -> Option<usize> {
-        self.chan_busy.iter().position(|&b| !b)
-    }
 }
 
 /// Parked `handler_done` arguments: `(scheduler key, packet index, hpu,
@@ -462,8 +422,6 @@ pub struct Nic<S> {
     done: Slots<DoneArgs>,
     /// Completion-handler writes, waiting out the handler's runtime.
     finals: Slots<Vec<DmaWrite>>,
-    /// Serviced writes waiting out the PCIe latency.
-    landing: Slots<(usize, DmaWrite)>,
     /// Latency distributions accumulated over the run and emitted as
     /// single `Hist` events at the end (they survive ring eviction).
     hist_handler: LogHistogram,
@@ -488,17 +446,14 @@ pub struct Nic<S> {
 }
 
 impl<S: MessageSource> Nic<S> {
-    /// An idle core running the event-driven DMA engine, emitting the
-    /// `spin` trace family into `tel`.
+    /// An idle core emitting the `spin` trace family into `tel`.
     pub fn new(params: NicParams, tel: Telemetry, src: S) -> Self {
         let chans = params.dma_channels.max(1);
         Nic {
             sched: Scheduler::new(params.discipline, params.hpus),
             dma: DmaEngine {
-                queue: TrackedFifo::new(false),
-                chan_busy: vec![false; chans],
-                chan_slot: (0..chans).map(|_| None).collect(),
                 free_at: vec![0; chans],
+                order: vec![0; chans],
                 ..DmaEngine::default()
             },
             params,
@@ -507,7 +462,6 @@ impl<S: MessageSource> Nic<S> {
             enq_time: HashMap::new(),
             done: Slots::new(),
             finals: Slots::new(),
-            landing: Slots::new(),
             hist_handler: LogHistogram::new(),
             hist_queue_wait: LogHistogram::new(),
             hist_dma: LogHistogram::new(),
@@ -560,6 +514,14 @@ impl<S: MessageSource> Nic<S> {
     /// Schedule packet `idx` of message `m` to reach the NIC at `at`.
     pub fn schedule_arrival(sim: &mut Sim<Self>, m: usize, idx: usize, at: Time) {
         sim.schedule_call(at, ev_packet_arrival::<S>, m as u64, idx as u64);
+    }
+
+    /// Run `sim` to completion, then fold the DMA service starts still
+    /// ahead of the last enqueue into the occupancy samples.
+    pub fn run(&mut self, sim: &mut Sim<Self>) {
+        sim.run(self);
+        let observed = self.dma_observed();
+        self.fold_dma_starts(Time::MAX, observed);
     }
 
     /// One wire transmission attempt of packet `idx` with nominal
@@ -721,7 +683,7 @@ impl<S: MessageSource> Nic<S> {
                         st.packets[idx].payload.clone(),
                     );
                     let size = st.bytes;
-                    w.enqueue_dma(s, m, write);
+                    w.enqueue_dma(s, m, &write);
                     if last {
                         w.events.post(FullEvent {
                             kind: if overflow {
@@ -733,7 +695,7 @@ impl<S: MessageSource> Nic<S> {
                             size,
                             time: s.now(),
                         });
-                        w.enqueue_dma(s, m, DmaWrite::completion_signal());
+                        w.enqueue_dma(s, m, &DmaWrite::completion_signal());
                     }
                 });
             }
@@ -806,18 +768,8 @@ impl<S: MessageSource> Nic<S> {
         let now = sim.now();
         let st = &mut self.msgs[m];
         let pkt = &st.packets[idx];
-        // In the eager-DMA regime the handler scatters payload bytes
-        // straight into the receive buffer (length-only DMA writes);
-        // the event-driven engine needs view-carrying writes so the
-        // bytes land at their simulated DMA times.
-        let direct = if self.dma.eager {
-            Some(DirectDst {
-                buf: &mut st.host_buf[..],
-                origin: st.host_origin,
-            })
-        } else {
-            None
-        };
+        // The handler scatters payload bytes straight into the receive
+        // buffer and returns length-only DMA writes for the timing model.
         let mut ctx = PacketCtx {
             payload: &pkt.payload,
             stream_offset: pkt.hdr.offset,
@@ -825,7 +777,10 @@ impl<S: MessageSource> Nic<S> {
             npkt: st.packets.len() as u64,
             vhpu,
             now,
-            direct,
+            direct: DirectDst {
+                buf: &mut st.host_buf[..],
+                origin: st.host_origin,
+            },
         };
         let out = st.proc.as_deref_mut().expect(LIVE).on_payload(&mut ctx);
         if S::RETAIN {
@@ -859,11 +814,10 @@ impl<S: MessageSource> Nic<S> {
             sim.now(),
             (self.nic_mem + self.resident_payload) as f64,
         );
-        if self.dma.eager {
-            self.eager_dma_batch(sim.now(), m, &mut dma);
-        } else {
+        {
+            let _phase = nca_sim::profile::enter(nca_sim::profile::Phase::DmaCopy);
             for w in dma.drain(..) {
-                self.enqueue_dma(sim, m, w);
+                self.enqueue_dma(sim, m, &w);
             }
         }
         let st = &mut self.msgs[m];
@@ -879,150 +833,102 @@ impl<S: MessageSource> Nic<S> {
         self.try_dispatch(sim);
     }
 
-    fn enqueue_dma(&mut self, sim: &mut Sim<Self>, m: usize, w: DmaWrite) {
-        if self.dma.eager {
-            self.eager_dma(sim.now(), m, &w);
-            return;
+    /// Whether anything observes the DMA engine per write: the `spin`
+    /// trace, the source's hooks or the occupancy series.
+    fn dma_observed(&self) -> bool {
+        self.tel.is_enabled() || self.dma.history.is_some() || self.src.traced()
+    }
+
+    /// One DMA-queue occupancy sample: `depth` writes queued at `t`.
+    fn dma_sample(&mut self, t: Time, depth: usize) {
+        self.tel.gauge("spin", "dma_queue", 0, t, depth as f64);
+        self.src.trace_dma_queue(t, depth);
+        if let Some(h) = self.dma.history.as_mut() {
+            h.push((t, depth));
         }
-        self.dma.queue.push(sim.now(), (m, w));
-        // Sampled at exactly the FIFO's own history points (occupancy
-        // after the push/pop) so a trace-driven Fig. 15 reproduces
-        // `dma_history` sample for sample.
-        let depth = self.dma.queue.len();
-        self.tel
-            .gauge("spin", "dma_queue", 0, sim.now(), depth as f64);
-        self.src.trace_dma_queue(sim.now(), depth);
-        self.kick_dma(sim);
     }
 
-    /// Eager DMA service: resolve the write's service window now instead
-    /// of round-tripping through per-write simulator events. Arrivals are
-    /// FIFO at nondecreasing sim times, so "the write starts on the
-    /// earliest-free channel, no earlier than now" reproduces the
-    /// event-driven engine's multi-server schedule exactly; the ordered
-    /// completion write instead waits for every channel to drain (the
-    /// `kick_dma` Portals-ordering guard). The occupancy model replays
-    /// queue-leave (service-start) times against push times so
-    /// `dma_max_queue` matches the event-driven engine.
-    fn eager_dma(&mut self, now: Time, m: usize, w: &DmaWrite) {
-        let land = self.eager_schedule(now, w);
-        self.dma_landed(land, m, w);
-    }
-
-    /// Batched variant for a handler's whole write list: one profiled
-    /// pass copies all landed bytes, with no per-write event machinery.
-    fn eager_dma_batch(&mut self, now: Time, m: usize, writes: &mut Vec<DmaWrite>) {
-        let _phase = nca_sim::profile::enter(nca_sim::profile::Phase::DmaCopy);
-        for w in writes.drain(..) {
-            let land = self.eager_schedule(now, &w);
-            if !w.data.is_empty() {
-                let st = &mut self.msgs[m];
-                let start = (w.host_off - st.host_origin) as usize;
-                nca_ddt::kernels::copy_block(&mut st.host_buf, start, &w.data, 0, w.data.len());
+    /// Writes whose service started at or before `now` have left the
+    /// queue: fold them into the occupancy model, one sample each.
+    fn fold_dma_starts(&mut self, now: Time, observed: bool) {
+        while let Some(&t) = self.dma.starts.front() {
+            if t > now {
+                break;
             }
-            if w.event {
-                self.complete(m, land);
+            self.dma.starts.pop_front();
+            self.dma.occ -= 1;
+            if observed {
+                self.dma_sample(t, self.dma.occ);
             }
         }
     }
 
-    /// Resolve one write's service window against the channel states;
-    /// shared core of the eager paths. Returns the landing time.
-    #[inline]
-    fn eager_schedule(&mut self, now: Time, w: &DmaWrite) -> Time {
+    /// Enqueue write `w` of message `m` and resolve its service window
+    /// now (DESIGN §4e). Its channel follows the FIFO's rules:
+    /// - no write starts before the previous one did (the FIFO head);
+    /// - a data write takes the lowest-index channel free at the head,
+    ///   else the channel freeing first (ties: the one assigned first);
+    /// - the event-generating completion write waits until every channel
+    ///   is idle and takes channel 0 (Portals ordering: it lands after
+    ///   every data write).
+    ///
+    /// The write's bytes, if it carries any, land in the receive buffer
+    /// at once; a direct-scatter write's bytes already have. Nothing
+    /// reads a receive buffer before its message completes, and the
+    /// completion write is scheduled as the message's one landing event.
+    fn enqueue_dma(&mut self, sim: &mut Sim<Self>, m: usize, w: &DmaWrite) {
+        let now = sim.now();
+        let observed = self.dma_observed();
+        self.fold_dma_starts(now, observed);
+        self.dma.occ += 1;
+        self.dma.max_occ = self.dma.max_occ.max(self.dma.occ);
+        if observed {
+            self.dma_sample(now, self.dma.occ);
+        }
         let d = &mut self.dma;
-        // Writes whose service started by `now` have left the queue —
-        // the event engine's `kick_dma` pops them before this push.
-        while d.starts.front().is_some_and(|&t| t <= now) {
-            d.starts.pop_front();
-            d.occ -= 1;
-        }
-        d.occ += 1;
-        d.max_occ = d.max_occ.max(d.occ);
-        let chan = if w.event {
-            // Completion: all channels idle first.
-            (0..d.free_at.len()).max_by_key(|&i| d.free_at[i]).unwrap()
-        } else {
-            (0..d.free_at.len()).min_by_key(|&i| d.free_at[i]).unwrap()
-        };
         let service = self.params.dma_service_time(w.len);
-        let start = now.max(d.free_at[chan]);
+        let head = now.max(d.head);
+        let (chan, start) = if w.event {
+            (0, d.free_at.iter().fold(head, |t, &f| t.max(f)))
+        } else if let Some(c) = d.free_at.iter().position(|&f| f <= head) {
+            (c, head)
+        } else {
+            let c = (0..d.free_at.len())
+                .min_by_key(|&c| (d.free_at[c], d.order[c]))
+                .expect("at least one DMA channel");
+            (c, d.free_at[c])
+        };
+        d.head = start;
         d.free_at[chan] = start + service;
-        debug_assert!(d.starts.back().is_none_or(|&b| b <= start));
-        d.starts.push_back(start);
+        d.order[chan] = d.writes;
         d.writes += 1;
         d.bytes += w.len;
-        start + service + self.params.pcie_latency
-    }
-
-    fn kick_dma(&mut self, sim: &mut Sim<Self>) {
-        while let Some(chan) = self.dma.free_channel() {
-            // The event-generating completion write must land after all
-            // data writes: dispatch it only once every channel is idle
-            // and it is alone in the queue (Portals ordering guarantee).
-            if let Some((_, front)) = self.dma.queue.front() {
-                if front.event && self.dma.busy_count() > 0 {
-                    return;
-                }
-            }
-            let now = sim.now();
-            let Some((m, w)) = self.dma.queue.pop(now) else {
-                return;
-            };
-            let depth = self.dma.queue.len();
-            self.tel.gauge("spin", "dma_queue", 0, now, depth as f64);
-            self.src.trace_dma_queue(now, depth);
-            self.dma.chan_busy[chan] = true;
-            let service = self.params.dma_service_time(w.len);
+        d.starts.push_back(start);
+        let land = start + service + self.params.pcie_latency;
+        if observed {
             if self.tel.is_enabled() {
                 self.hist_dma.record(service);
-                // Busy-interval span on the channel's own track (the
-                // Perfetto PCIe-utilization view).
-                self.tel
-                    .span("spin", "dma_chan", chan as u64, now, now + service);
             }
-            self.src.trace_dma_chan(chan, now, service);
-            self.dma.chan_slot[chan] = Some((m, w));
-            sim.schedule_call_in(service, ev_dma_service_done::<S>, chan as u64, 0);
+            // Busy-interval span on the channel's own track (the
+            // Perfetto PCIe-utilization view).
+            self.tel
+                .span("spin", "dma_chan", chan as u64, start, start + service);
+            self.src.trace_dma_chan(chan, start, service);
+            if w.event {
+                // The completion drain: everything is on the wire, the
+                // message now waits for the final PCIe landing.
+                self.tel
+                    .span("spin", "dma_drain", chan as u64, start + service, land);
+            }
         }
-    }
-
-    /// A channel finished putting its write on the wire. The write lands
-    /// in host memory one PCIe latency later, as its own event: a source
-    /// that admits against completions must see them at landing time.
-    fn dma_service_done(&mut self, sim: &mut Sim<Self>, chan: usize) {
-        let (m, w) = self.dma.chan_slot[chan]
-            .take()
-            .expect("service-done on idle channel");
-        self.dma.chan_busy[chan] = false;
-        self.dma.writes += 1;
-        self.dma.bytes += w.len;
-        let landing = self.params.pcie_latency;
-        if w.event {
-            // The completion drain: everything is on the wire, the
-            // message now waits for the final PCIe landing.
-            self.tel.span(
-                "spin",
-                "dma_drain",
-                chan as u64,
-                sim.now(),
-                sim.now() + landing,
-            );
-        }
-        let slot = self.landing.park((m, w));
-        sim.schedule_call_in(landing, ev_dma_landed::<S>, slot, 0);
-        self.kick_dma(sim);
-    }
-
-    fn dma_landed(&mut self, t: Time, m: usize, w: &DmaWrite) {
         if !w.data.is_empty() {
             let _phase = nca_sim::profile::enter(nca_sim::profile::Phase::DmaCopy);
             let st = &mut self.msgs[m];
-            let start = (w.host_off - st.host_origin) as usize;
-            st.host_buf[start..start + w.data.len()].copy_from_slice(&w.data);
+            let off = (w.host_off - st.host_origin) as usize;
+            nca_ddt::kernels::copy_block(&mut st.host_buf, off, &w.data, 0, w.data.len());
         }
         if w.event {
-            self.complete(m, t);
+            sim.schedule_call(land, ev_complete::<S>, m as u64, 0);
         }
     }
 
@@ -1079,17 +985,12 @@ fn ev_completion<S: MessageSource>(w: &mut Nic<S>, s: &mut Sim<Nic<S>>, m: u64, 
 
 fn ev_completion_writes<S: MessageSource>(w: &mut Nic<S>, s: &mut Sim<Nic<S>>, m: u64, slot: u64) {
     for wr in w.finals.take(slot) {
-        w.enqueue_dma(s, m as usize, wr);
+        w.enqueue_dma(s, m as usize, &wr);
     }
 }
 
-fn ev_dma_service_done<S: MessageSource>(w: &mut Nic<S>, s: &mut Sim<Nic<S>>, chan: u64, _b: u64) {
-    w.dma_service_done(s, chan as usize);
-}
-
-fn ev_dma_landed<S: MessageSource>(w: &mut Nic<S>, s: &mut Sim<Nic<S>>, slot: u64, _b: u64) {
-    let (m, write) = w.landing.take(slot);
-    w.dma_landed(s.now(), m, &write);
+fn ev_complete<S: MessageSource>(w: &mut Nic<S>, s: &mut Sim<Nic<S>>, m: u64, _b: u64) {
+    w.complete(m as usize, s.now());
 }
 
 /// The receive-pipeline runner.
@@ -1120,28 +1021,8 @@ impl ReceiveSim {
         let nic_mem = proc.nic_mem_bytes();
         let host_setup = proc.host_setup_time();
 
-        // The eager engine resolves DMA service windows arithmetically,
-        // so it cannot emit per-event DMA timing: telemetry capture and
-        // DMA-history recording force the event-driven engine.
-        let needs_events = cfg.telemetry.is_enabled() || cfg.record_dma_history;
-        let eager_fallback = cfg.engine == EngineMode::Eager && needs_events;
-        if eager_fallback {
-            static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-            WARN_ONCE.call_once(|| {
-                eprintln!(
-                    "warning: eager DMA engine requested, but telemetry capture or \
-                     DMA-history recording needs per-event timing; falling back to the \
-                     event-driven engine (recorded as eager_fallback in the run report)"
-                );
-            });
-        }
-
         let mut nic = Nic::new(params.clone(), cfg.telemetry.clone(), OneMessage);
-        nic.dma.eager = match cfg.engine {
-            EngineMode::Event => false,
-            EngineMode::Auto | EngineMode::Eager => !needs_events,
-        };
-        nic.dma.queue = TrackedFifo::new(cfg.record_dma_history);
+        nic.dma.history = cfg.record_dma_history.then(Vec::new);
         nic.nic_mem = nic_mem;
         if let Some(p) = &cfg.portals {
             nic.matching = Some(p.matching.clone());
@@ -1209,7 +1090,7 @@ impl ReceiveSim {
                 Nic::schedule_arrival(&mut sim, 0, pkt_idx, at);
             }
         }
-        sim.run(&mut nic);
+        nic.run(&mut sim);
 
         let t_complete = nic.msgs[0].t_complete.unwrap_or_else(|| sim.now());
         // Emit the accumulated distributions as single mergeable events
@@ -1232,8 +1113,6 @@ impl ReceiveSim {
                 ..ReliabilityStats::default()
             },
         };
-        let dma_max_queue = nic.dma.queue.max_occupancy().max(nic.dma.max_occ);
-        let dma_history = nic.dma.queue.take_history();
         let msg = nic.msgs.pop().expect("one message");
         let recovery = msg.proc.as_deref().expect(LIVE).recovery();
         RunReport {
@@ -1246,8 +1125,8 @@ impl ReceiveSim {
             host_origin,
             dma_writes: nic.dma.writes,
             dma_bytes: nic.dma.bytes,
-            dma_max_queue,
-            dma_history,
+            dma_max_queue: nic.dma.max_occ,
+            dma_history: nic.dma.history.take().unwrap_or_default(),
             handler_costs: msg.handler_costs,
             nic_mem_bytes: nic_mem,
             nic_mem_hwm_bytes: nic_mem + nic.resident_hwm,
@@ -1256,7 +1135,6 @@ impl ReceiveSim {
             events: nic.events.into_all(),
             rel,
             recovery,
-            eager_fallback,
         }
     }
 }
@@ -1265,6 +1143,7 @@ impl ReceiveSim {
 mod tests {
     use super::*;
     use crate::builtin::ContigProcessor;
+    use crate::handler::HandlerCost;
     use nca_portals::event::EventKind;
     use nca_portals::matching::MatchEntry;
 
@@ -1296,41 +1175,67 @@ mod tests {
             telemetry: Telemetry::disabled(),
             faults: FaultSpec::inert(),
             reliability: ReliabilityParams::default(),
-            engine: EngineMode::Auto,
+            engine: EngineMode,
         };
         ReceiveSim::run(proc_, msg(n), 0, n as u64, &cfg)
     }
 
-    #[test]
-    fn explicit_eager_request_under_telemetry_falls_back_and_flags_it() {
-        let params = NicParams::with_hpus(4);
-        let handler = params.spin_min_handler();
-        let (tel, _sink) = Telemetry::ring(1 << 16);
-        let mut cfg = RunConfig::new(params.clone());
-        cfg.engine = EngineMode::Eager;
-        cfg.telemetry = tel;
-        let proc_ = Box::new(ContigProcessor::new(0, handler));
-        let r = ReceiveSim::run(proc_, msg(8192), 0, 8192, &cfg);
-        assert!(r.eager_fallback, "telemetry must force the event engine");
+    /// Emits length-only writes of the given lengths from each payload
+    /// handler, at zero handler cost.
+    struct Lengths(Vec<u64>);
 
-        // Without capture the request is honoured: no fallback, and the
-        // result is observationally identical either way (pinned more
-        // broadly in tests/dma_engine_equiv.rs).
-        let mut cfg2 = RunConfig::new(params);
-        cfg2.engine = EngineMode::Eager;
-        let proc2 = Box::new(ContigProcessor::new(0, handler));
-        let r2 = ReceiveSim::run(proc2, msg(8192), 0, 8192, &cfg2);
-        assert!(!r2.eager_fallback);
-        assert_eq!(r2.t_complete, r.t_complete);
-        assert_eq!(r2.host_buf, r.host_buf);
+    impl MessageProcessor for Lengths {
+        fn policy(&self) -> crate::handler::SchedPolicy {
+            crate::handler::SchedPolicy::Default
+        }
+
+        fn nic_mem_bytes(&self) -> u64 {
+            0
+        }
+
+        fn on_payload(&mut self, _ctx: &mut PacketCtx<'_>) -> crate::handler::HandlerOutput {
+            crate::handler::HandlerOutput {
+                cost: HandlerCost::default(),
+                dma: self
+                    .0
+                    .iter()
+                    .map(|&len| DmaWrite::len_only(0, len))
+                    .collect(),
+            }
+        }
+
+        fn name(&self) -> &'static str {
+            "lengths"
+        }
     }
 
     #[test]
-    fn engine_mode_labels_round_trip() {
-        for m in [EngineMode::Auto, EngineMode::Event, EngineMode::Eager] {
-            assert_eq!(EngineMode::parse(m.label()), Some(m));
-        }
-        assert_eq!(EngineMode::parse("lazy"), None);
+    fn channels_freeing_together_serve_in_assignment_order() {
+        // Service is 1000 ps + 1 ps per byte. Channel 0 serves 100 B and
+        // then 100 B, freeing at +2200 ps together with channel 1, whose
+        // 1200 B write was assigned before channel 0's second one. The
+        // fourth write goes to channel 1: the channel assigned first
+        // frees first, not the lower index. The completion write, once
+        // its handler ran, takes channel 0.
+        let mut params = NicParams::with_hpus(1);
+        params.dma_write_overhead = 1000;
+        params.pcie_bw = nca_sim::Bandwidth::gbit_per_s(8000.0);
+        let (tel, ring) = Telemetry::ring(1 << 10);
+        let mut cfg = RunConfig::new(params);
+        cfg.telemetry = tel;
+        let proc_ = Box::new(Lengths(vec![100, 1200, 100, 100]));
+        ReceiveSim::run(proc_, msg(16), 0, 16, &cfg);
+        let mut spans: Vec<(Time, u64)> = ring
+            .events()
+            .iter()
+            .filter(|e| e.name == "dma_chan")
+            .map(|e| (e.time, e.track))
+            .collect();
+        spans.sort();
+        let t0 = spans[0].0;
+        let rel: Vec<(Time, u64)> = spans.iter().map(|&(t, c)| (t - t0, c)).collect();
+        assert_eq!(rel[..4], [(0, 0), (0, 1), (1100, 0), (2200, 1)]);
+        assert_eq!(rel[4].1, 0, "the completion write takes channel 0");
     }
 
     #[test]

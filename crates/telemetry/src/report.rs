@@ -226,10 +226,6 @@ pub struct StrategyReport {
     pub model: Option<ModelValidation>,
     /// Fault/reliability outcome (lossy runs only).
     pub faults: Option<FaultSummary>,
-    /// The eager DMA engine was explicitly requested but telemetry
-    /// capture forced the event-driven engine (see
-    /// `nca_spin::nic::EngineMode`).
-    pub eager_fallback: bool,
 }
 
 impl StrategyReport {
@@ -378,7 +374,6 @@ fn strategy_json(s: &StrategyReport, ind: &str) -> String {
     let _ = writeln!(o, "{ind}  \"dma_writes\": {},", s.dma_writes);
     let _ = writeln!(o, "{ind}  \"dma_bytes\": {},", s.dma_bytes);
     let _ = writeln!(o, "{ind}  \"dma_max_queue\": {},", s.dma_max_queue);
-    let _ = writeln!(o, "{ind}  \"eager_fallback\": {},", s.eager_fallback);
     let _ = writeln!(o, "{ind}  \"attribution\": {{");
     for (i, (label, t)) in s.attribution.iter().enumerate() {
         let comma = if i + 1 < s.attribution.len() { "," } else { "" };
@@ -1305,7 +1300,6 @@ mod tests {
                     checkpoint_reverts: 3,
                     catchup_blocks: 0,
                 }),
-                eager_fallback: false,
             }],
         }
     }

@@ -318,6 +318,10 @@ impl MessageSource for Cell {
         self.t_end = self.t_end.max(t);
     }
 
+    fn traced(&self) -> bool {
+        self.tel.is_enabled()
+    }
+
     fn trace_handler(&mut self, hpu: usize, now: Time, runtime: Time) {
         if !self.tel.is_enabled() {
             return;
@@ -503,7 +507,7 @@ pub fn run_traffic_with(cfg: &TrafficConfig, tel: &Telemetry) -> TrafficRunResul
     for (i, m) in schedule.iter().enumerate() {
         sim.schedule_call(m.arrival_ps, ev_offer, i as u64, 0);
     }
-    sim.run(&mut nic);
+    nic.run(&mut sim);
     let world = nic.src;
     debug_assert_eq!(world.inflight_bytes, 0, "all admitted work must drain");
     for (t, st) in world.stats.iter().enumerate() {

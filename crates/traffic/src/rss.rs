@@ -20,9 +20,9 @@ impl IndirectionTable {
     /// rewriting entries, which the model does not need).
     pub fn new(nentries: usize, hpus: usize) -> Self {
         let n = nentries.max(1);
-        let h = hpus.max(1) as u32;
+        let h = hpus.max(1);
         IndirectionTable {
-            entries: (0..n).map(|i| i as u32 % h).collect(),
+            entries: (0..n).map(|i| (i % h) as u32).collect(),
         }
     }
 
@@ -94,6 +94,13 @@ mod tests {
             .filter(|&f| flow_hash(0, f) == flow_hash(1, f))
             .count();
         assert_eq!(collisions, 0);
+    }
+
+    #[test]
+    fn hpu_counts_past_u32_do_not_wrap() {
+        // 2^40 HPUs once truncated to a zero divisor.
+        let t = IndirectionTable::new(64, 1 << 40);
+        assert_eq!(t.hpu_for(63), 63);
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! The receive core's one-message case. `ReceiveSim::run` and a traffic
 //! cell that admits a single offer are two sources in front of one
-//! core, so on one message they must agree: the offer's latency is the
-//! receive's completion time, and the landed bytes are exact.
+//! core and its one DMA engine, so on one message they must agree: the
+//! offer's latency is the receive's completion time, and the landed
+//! bytes are exact.
 
 use ncmt::core::runner::{Experiment, Strategy};
 use ncmt::ddt::pack::buffer_span;
 use ncmt::ddt::types::Datatype;
-use ncmt::spin::nic::{EngineMode, ReceiveSim, RunConfig, RunReport};
+use ncmt::spin::nic::{ReceiveSim, RunConfig, RunReport};
 use ncmt::spin::params::NicParams;
 use ncmt::telemetry::Telemetry;
 use ncmt::traffic::{generate_schedule, run_traffic, ArrivalProcess, TenantSpec, TrafficConfig};
@@ -14,15 +15,12 @@ use ncmt::workloads::apps::{self, AppWorkload};
 
 const EPSILON: f64 = 0.2;
 
-/// `ReceiveSim::run` on the event-driven DMA engine, the one traffic
-/// cells run.
+/// `ReceiveSim::run` of one message, telemetry off.
 fn receive(s: Strategy, dt: &Datatype, count: u32, params: &NicParams) -> RunReport {
     let (origin, span) = buffer_span(dt, count);
     let packed = Experiment::new(dt.clone(), count, params.clone()).packed_message();
     let proc_ = s.build(dt, count, params.clone(), EPSILON, Telemetry::disabled());
-    let mut cfg = RunConfig::new(params.clone());
-    cfg.engine = EngineMode::Event;
-    ReceiveSim::run(proc_, packed, origin, span, &cfg)
+    ReceiveSim::run(proc_, packed, origin, span, &RunConfig::new(params.clone()))
 }
 
 /// One workload from each of six applications, small enough to fit

@@ -389,6 +389,35 @@ fn rss_tables_and_horizons_are_bounded() {
 }
 
 #[test]
+fn hpus_and_sweep_cells_are_bounded() {
+    // 2^40 HPUs panicked on a remainder by zero in the RSS table, and a
+    // strategy run's report aborted allocating 8 TiB of per-HPU series.
+    let huge = "scheduling.hpus=1099511627776";
+    assert_rejected("traffic.json", &[huge], "scenario.scheduling.hpus");
+    assert_rejected("strategy_run.json", &[huge], "scenario.scheduling.hpus");
+    compile_watched("strategy_run.json", &["scheduling.hpus=1024"]).expect("at the bound");
+    assert_rejected(
+        "strategy_run.json",
+        &["scheduling.hpus=1025"],
+        "scenario.scheduling.hpus",
+    );
+    // Aborted allocating 52 TB of sweep cells; smaller seed counts ran
+    // for hours. The bound is 4096 (seed, scale) cells.
+    assert_rejected(
+        "fault_sweep.json",
+        &["sweep.seeds=1099511627776"],
+        "scenario.sweep",
+    );
+    compile_watched(
+        "fault_sweep.json",
+        &["sweep.seeds=4096", "sweep.scales=[1.0]"],
+    )
+    .expect("at the bound");
+    compile_watched("fault_sweep.json", &["sweep.seeds=1365"]).expect("4095 cells");
+    assert_rejected("fault_sweep.json", &["sweep.seeds=1366"], "scenario.sweep");
+}
+
+#[test]
 fn every_ci_nightly_and_benchmark_case_stays_under_the_bounds() {
     let cases: [(&str, &[&str]); 5] = [
         // Nightly traffic soak: 4 tenants and 16 HPUs.

@@ -9,7 +9,7 @@ use ncmt::core::runner::{Experiment, Strategy};
 use ncmt::core::strategies::{GeneralKind, GeneralProcessor};
 use ncmt::ddt::pack::{buffer_span, pack};
 use ncmt::ddt::types::{elem, Datatype, DatatypeExt};
-use ncmt::spin::handler::{MessageProcessor, PacketCtx};
+use ncmt::spin::handler::{DirectDst, MessageProcessor, PacketCtx};
 use ncmt::spin::params::NicParams;
 use ncmt::telemetry::{aggregate, export, Telemetry};
 
@@ -101,6 +101,7 @@ fn rwcp_revert_is_traced() {
     let (tel, sink) = Telemetry::ring(256);
     let mut p =
         GeneralProcessor::new(GeneralKind::RwCp, &dt, count, params, 0.2).with_telemetry(tel);
+    let mut host = vec![0u8; span as usize];
     let mut later = PacketCtx {
         payload: &packed.view(ps, ps),
         stream_offset: ps as u64,
@@ -108,7 +109,10 @@ fn rwcp_revert_is_traced() {
         npkt: 2,
         vhpu: 0,
         now: 10,
-        direct: None,
+        direct: DirectDst {
+            buf: &mut host,
+            origin,
+        },
     };
     p.on_payload(&mut later);
     let mut earlier = PacketCtx {
@@ -118,7 +122,10 @@ fn rwcp_revert_is_traced() {
         npkt: 2,
         vhpu: 0,
         now: 20,
-        direct: None,
+        direct: DirectDst {
+            buf: &mut host,
+            origin,
+        },
     };
     p.on_payload(&mut earlier);
     let rec = p.recovery();

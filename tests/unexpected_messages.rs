@@ -38,7 +38,7 @@ fn expected_ddt_message_processes_on_the_spin_path() {
         params: params.clone(),
         out_of_order: None,
         record_dma_history: false,
-        engine: ncmt::spin::nic::EngineMode::Auto,
+        engine: ncmt::spin::nic::EngineMode,
         portals: Some(PortalsSetup {
             matching: mu,
             match_bits: 0xAA,
@@ -72,7 +72,7 @@ fn unexpected_ddt_message_lands_packed_and_host_unpack_finishes_later() {
         params: params.clone(),
         out_of_order: None,
         record_dma_history: false,
-        engine: ncmt::spin::nic::EngineMode::Auto,
+        engine: ncmt::spin::nic::EngineMode,
         portals: Some(PortalsSetup {
             matching: mu,
             match_bits: 0xAA,
@@ -104,7 +104,7 @@ fn unexpected_ddt_message_lands_packed_and_host_unpack_finishes_later() {
         params: params.clone(),
         out_of_order: None,
         record_dma_history: false,
-        engine: ncmt::spin::nic::EngineMode::Auto,
+        engine: ncmt::spin::nic::EngineMode,
         portals: Some(PortalsSetup {
             matching: mu2,
             match_bits: 0xAA,
