@@ -1,17 +1,30 @@
 //! Host-side DDT pack/unpack comparison: the dataloop/kernels engine
 //! against a naive manual copy that walks the typemap one elementary
 //! element at a time (the "loop over MPI_DOUBLEs" a hand-rolled
-//! application copy would do). Both paths must produce byte-identical
-//! receive buffers; the modeled times come from the deterministic
-//! [`HostCostModel`], so the artifact is bit-reproducible and lives as
-//! a golden under `tests/golden/`.
+//! application copy would do). The modeled times come from the
+//! deterministic [`HostCostModel`], so the artifact is bit-reproducible
+//! and lives as a golden under `tests/golden/`.
+//!
+//! Each row checks that the engine's receive image is the one the
+//! manual copy would build, by typemap rather than over the span. The
+//! engine unpacks into one zeroed span-sized image through a sink that
+//! records every extent it writes; the manual path walks the typemap
+//! into the same kind of run list without copying anything.
+//! `typemap_verdict` then compares the two run lists, and the written
+//! bytes with the packed stream. No gap byte is read and no second
+//! image is built, so a sparse type pays for its message and for the
+//! pages it writes, not for its span (NAS-MG/d's 512 KiB message spans
+//! 255 MiB). Its doc comment says why this equals comparing the
+//! engine's image with a manually filled one byte for byte.
 
 use std::fmt::Write;
+use std::sync::Arc;
 
 use nca_core::costmodel::HostCostModel;
 use nca_ddt::dataloop::compile_cached;
-use nca_ddt::pack::{buffer_span, pack_pattern, unpack};
+use nca_ddt::pack::{buffer_span, pack_pattern};
 use nca_ddt::typemap::for_each_block;
+use nca_ddt::{BlockSink, CopySink, Dataloop, Datatype, Segment};
 use nca_sim::Pool;
 use nca_workloads::apps::all_workloads;
 
@@ -30,7 +43,11 @@ pub struct CompareRow {
     pub blocks: u64,
     /// Elementary typemap entries (the manual path's copies).
     pub elements: u64,
-    /// Engine and manual unpack produced identical receive buffers.
+    /// Engine and manual unpack produce identical receive buffers.
+    /// Decided by typemap, not over the span: the engine wrote exactly
+    /// the typemap's extents, in typemap order, into a zeroed image, so
+    /// every gap is still zero, and those extents hold the packed
+    /// stream, which is what the manual copy puts there.
     pub byte_exact: bool,
     /// Modeled engine unpack time (ps): one copy per merged block.
     pub engine_ps: u64,
@@ -97,29 +114,131 @@ fn throughput_gbit(bytes: u64, ps: u64) -> f64 {
     bytes as f64 * 8000.0 / ps as f64
 }
 
+/// Write extents `(buf_off, len)` in stream order. An extent that
+/// starts where the previous one ends is merged into it, so a list does
+/// not depend on how a walk split its writes into calls.
+type Runs = Vec<(i64, u64)>;
+
+/// Append `[off, off + len)` to `runs`; a zero-length write records
+/// nothing.
+fn push_run(runs: &mut Runs, off: i64, len: u64) {
+    if len == 0 {
+        return;
+    }
+    match runs.last_mut() {
+        Some((at, n)) if *at + *n as i64 == off => *n += len,
+        _ => runs.push((off, len)),
+    }
+}
+
+/// [`CopySink`] with a recorder in front: every extent is recorded,
+/// then the whole call is forwarded, so the same kernels do the copying
+/// and the runs are exactly the bytes they wrote.
+struct RecordingSink<'a> {
+    copy: CopySink<'a>,
+    runs: Runs,
+}
+
+impl BlockSink for RecordingSink<'_> {
+    fn block(&mut self, buf_off: i64, len: u64, stream_off: u64) {
+        push_run(&mut self.runs, buf_off, len);
+        self.copy.block(buf_off, len, stream_off);
+    }
+
+    fn strided(&mut self, buf_off: i64, len: u64, stream_off: u64, n: u64, step: i64) {
+        if step == len as i64 {
+            push_run(&mut self.runs, buf_off, n * len);
+        } else {
+            for i in 0..n as i64 {
+                push_run(&mut self.runs, buf_off + i * step, len);
+            }
+        }
+        self.copy.strided(buf_off, len, stream_off, n, step);
+    }
+}
+
+/// The engine path: `nca_ddt::pack::unpack`'s walk with a recorder in
+/// front of its sink. Returns the zeroed `span`-byte image it unpacked
+/// `packed` into (index 0 ↔ buffer offset `origin`) and the runs it
+/// wrote.
+fn engine_unpack(dl: Arc<Dataloop>, packed: &[u8], origin: i64, span: u64) -> (Vec<u8>, Runs) {
+    let mut image = vec![0u8; span as usize];
+    let mut sink = RecordingSink {
+        copy: CopySink {
+            src: packed,
+            stream_base: 0,
+            dst: &mut image,
+            origin,
+        },
+        runs: Runs::new(),
+    };
+    Segment::new(dl).advance(u64::MAX, &mut sink);
+    let runs = sink.runs;
+    (image, runs)
+}
+
+/// The manual path: walk the typemap leaf by leaf, one elementary
+/// element at a time (no block merging, no vectorized kernels; what the
+/// modeled cost charges for is the per-element dispatch, counted in
+/// `elements`), and merge the elements into runs as the recorder does.
+fn typemap_runs(dt: &Datatype, count: u32) -> (Runs, u64) {
+    let (mut runs, mut elements) = (Runs::new(), 0u64);
+    for_each_block(dt, count, |off, len| {
+        elements += 1;
+        push_run(&mut runs, off, len);
+    });
+    (runs, elements)
+}
+
+/// Whether an unpack `image` (index 0 ↔ buffer offset `origin`) equals
+/// the image a manual copy of `packed` along the typemap builds: the
+/// `written` runs recorded while unpacking equal the `typemap` runs,
+/// and each run's bytes in `image` equal `packed` at the running
+/// cursor.
+///
+/// This equals comparing `image` byte for byte with a second,
+/// span-sized image that a manual copy filled, without building that
+/// image or reading a gap:
+/// - `image` starts zeroed, as the manual image does;
+/// - the engine writes `image` only through the recording sink, and
+///   its kernels are safe slice copies of exactly the recorded extents
+///   (`pack_unpack_identity` in `nca-ddt`'s proptests holds them to
+///   that);
+/// - equal run lists therefore mean the engine wrote exactly the
+///   typemap's bytes, in typemap order, so every gap is still zero, as
+///   in the manual image;
+/// - the covered bytes then match exactly when they hold the packed
+///   stream, which is what the manual copy put there.
+///
+/// The last step needs a typemap without overlaps, which MPI requires
+/// of a receive type: where two elements overlap, the manual copy keeps
+/// only the later one's bytes.
+fn typemap_verdict(
+    image: &[u8],
+    origin: i64,
+    written: &[(i64, u64)],
+    typemap: &[(i64, u64)],
+    packed: &[u8],
+) -> bool {
+    if written != typemap {
+        return false;
+    }
+    let mut cursor = 0usize;
+    written.iter().all(|&(off, len)| {
+        let (at, len) = ((off - origin) as usize, len as usize);
+        cursor += len;
+        image[at..at + len] == packed[cursor - len..cursor]
+    })
+}
+
 fn compare_row(w: &nca_workloads::AppWorkload) -> CompareRow {
     let (origin, span) = buffer_span(&w.dt, w.count);
     let packed = pack_pattern(&w.dt, w.count);
-    let mut engine_dst = vec![0u8; span as usize];
-    unpack(&w.dt, w.count, &packed, &mut engine_dst, origin).expect("app datatypes unpack");
-
-    // The manual path: walk the typemap leaf by leaf and copy one
-    // elementary element at a time from the packed stream — no block
-    // merging, no vectorized kernels. (The copies themselves use
-    // copy_from_slice; what the modeled cost charges for is the
-    // per-element dispatch, counted in `elements`.)
-    let mut manual_dst = vec![0u8; span as usize];
-    let mut cursor = 0usize;
-    let mut elements = 0u64;
-    for_each_block(&w.dt, w.count, |off, len| {
-        elements += 1;
-        let at = (off - origin) as usize;
-        let len = len as usize;
-        manual_dst[at..at + len].copy_from_slice(&packed[cursor..cursor + len]);
-        cursor += len;
-    });
-
     let dl = compile_cached(&w.dt, w.count);
+    let (image, written) = engine_unpack(Arc::clone(&dl), &packed, origin, span);
+    let (typemap, elements) = typemap_runs(&w.dt, w.count);
+    let byte_exact = typemap_verdict(&image, origin, &written, &typemap, &packed);
+
     let model = HostCostModel::default();
     let engine_ps = model.unpack_time(dl.size, dl.blocks);
     let manual_ps = model.unpack_time(dl.size, elements);
@@ -129,7 +248,7 @@ fn compare_row(w: &nca_workloads::AppWorkload) -> CompareRow {
         msg_bytes: dl.size,
         blocks: dl.blocks,
         elements,
-        byte_exact: engine_dst == manual_dst,
+        byte_exact,
         engine_ps,
         manual_ps,
         engine_gbit: throughput_gbit(dl.size, engine_ps),
@@ -186,12 +305,44 @@ pub fn render(rows: &[CompareRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nca_ddt::pack::unpack;
+    use nca_ddt::types::{elem, DatatypeExt};
+    use nca_workloads::AppWorkload;
+
+    /// The reference verdict: unpack into one span-sized image, copy the
+    /// packed stream element by element into a second one, and compare
+    /// the two over the whole span.
+    fn two_image_verdict(w: &AppWorkload) -> bool {
+        let (origin, span) = buffer_span(&w.dt, w.count);
+        let packed = pack_pattern(&w.dt, w.count);
+        let mut engine_dst = vec![0u8; span as usize];
+        unpack(&w.dt, w.count, &packed, &mut engine_dst, origin).expect("app datatypes unpack");
+        let mut manual_dst = vec![0u8; span as usize];
+        let mut cursor = 0usize;
+        for_each_block(&w.dt, w.count, |off, len| {
+            let at = (off - origin) as usize;
+            let len = len as usize;
+            manual_dst[at..at + len].copy_from_slice(&packed[cursor..cursor + len]);
+            cursor += len;
+        });
+        engine_dst == manual_dst
+    }
 
     #[test]
     fn engine_and_manual_unpack_agree_on_every_workload() {
-        let rows = rows_filtered(Some(512), &Pool::serial());
-        assert!(!rows.is_empty());
-        for r in &rows {
+        let workloads: Vec<_> = all_workloads()
+            .into_iter()
+            .filter(|w| w.msg_bytes() <= 512 << 10)
+            .collect();
+        assert!(!workloads.is_empty());
+        for w in &workloads {
+            let r = compare_row(w);
+            assert_eq!(
+                r.byte_exact,
+                two_image_verdict(w),
+                "{}: typemap verdict differs from the two-image compare",
+                r.label
+            );
             assert!(r.byte_exact, "{}: engine vs manual mismatch", r.label);
             assert!(
                 r.elements >= r.blocks,
@@ -200,6 +351,61 @@ mod tests {
             );
             assert!(r.ratio >= 1.0, "{}: manual path cannot be faster", r.label);
         }
+    }
+
+    #[test]
+    fn no_app_typemap_overlaps() {
+        let workloads = all_workloads();
+        assert!(!workloads.is_empty());
+        for w in &workloads {
+            let (mut runs, _) = typemap_runs(&w.dt, w.count);
+            runs.sort_unstable();
+            for pair in runs.windows(2) {
+                let ((a, len), (b, _)) = (pair[0], pair[1]);
+                assert!(a + len as i64 <= b, "{}: extents overlap at {b}", w.label());
+            }
+        }
+    }
+
+    #[test]
+    fn typemap_verdict_rejects_every_wrong_image() {
+        // Four 8-byte runs at a 48-byte stride: 40-byte gaps.
+        let dt = Datatype::vector(4, 2, 12, &elem::int());
+        let (origin, span) = buffer_span(&dt, 1);
+        let packed = pack_pattern(&dt, 1);
+        let (image, written) = engine_unpack(compile_cached(&dt, 1), &packed, origin, span);
+        let (typemap, _) = typemap_runs(&dt, 1);
+        assert_eq!(written.len(), 4);
+        let verdict = |image: &[u8], written: &[(i64, u64)]| {
+            typemap_verdict(image, origin, written, &typemap, &packed)
+        };
+        let at = |run: usize| (written[run].0 - origin) as usize;
+        assert!(verdict(&image, &written));
+
+        // One run shifted by a byte, its bytes moved along with it.
+        let (mut img, mut runs) = (image.clone(), written.clone());
+        let bytes = img[at(1)..at(1) + 8].to_vec();
+        img[at(1)..at(1) + 8].fill(0);
+        img[at(1) + 1..at(1) + 9].copy_from_slice(&bytes);
+        runs[1].0 += 1;
+        assert!(!verdict(&img, &runs));
+
+        // A run missing from the written list, its bytes left zero.
+        let (mut img, mut runs) = (image.clone(), written.clone());
+        img[at(2)..at(2) + 8].fill(0);
+        runs.remove(2);
+        assert!(!verdict(&img, &runs));
+
+        // An extra one-byte run in the gap after run 0.
+        let (mut img, mut runs) = (image.clone(), written.clone());
+        img[at(0) + 12] = 0xab;
+        runs.insert(1, (written[0].0 + 12, 1));
+        assert!(!verdict(&img, &runs));
+
+        // One covered byte flipped.
+        let mut img = image.clone();
+        img[at(3)] ^= 0xff;
+        assert!(!verdict(&img, &written));
     }
 
     #[test]
