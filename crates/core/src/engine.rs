@@ -28,24 +28,14 @@ pub struct DmaSink<'a, 'b> {
 impl BlockSink for DmaSink<'_, '_> {
     fn block(&mut self, buf_off: i64, len: u64, stream_off: u64) {
         let s = (stream_off - self.stream_base) as usize;
-        let d = (buf_off - self.dst.origin) as usize;
-        nca_ddt::kernels::copy_block(self.dst.buf, d, self.payload, s, len as usize);
+        self.dst.block(buf_off, self.payload, s, len as usize);
         self.writes.push(DmaWrite::len_only(buf_off, len));
     }
 
     fn strided(&mut self, buf_off: i64, len: u64, stream_off: u64, n: u64, step: i64) {
         self.writes.reserve(n as usize);
         let s = (stream_off - self.stream_base) as i64;
-        nca_ddt::kernels::copy_strided(
-            self.dst.buf,
-            buf_off - self.dst.origin,
-            step,
-            self.payload,
-            s,
-            len as i64,
-            len,
-            n,
-        );
+        self.dst.strided(buf_off, step, self.payload, s, len, n);
         let mut b = buf_off;
         for _ in 0..n {
             self.writes.push(DmaWrite::len_only(b, len));
@@ -108,10 +98,12 @@ mod tests {
     use super::*;
     use nca_ddt::dataloop::compile;
     use nca_ddt::types::{elem, Datatype, DatatypeExt};
+    use nca_sim::arena::take_zeroed;
+    use nca_sim::PooledBuf;
 
-    /// A zeroed 64-byte receive buffer at origin 0.
-    fn dst(buf: &mut [u8]) -> DirectDst<'_> {
-        DirectDst { buf, origin: 0 }
+    /// A scatter into `buf` at origin 0.
+    fn dst(buf: &mut PooledBuf) -> DirectDst<'_> {
+        DirectDst::new(buf, 0)
     }
 
     #[test]
@@ -120,7 +112,7 @@ mod tests {
         let dl = compile(&dt, 1);
         let mut seg = Segment::new(dl);
         let payload: PktView = (0..16u8).collect::<Vec<u8>>().into();
-        let mut buf = [0u8; 64];
+        let mut buf = take_zeroed(64);
         let (writes, stats) = scatter_packet(&mut seg, 0, &payload, Vec::new(), &mut dst(&mut buf));
         assert_eq!(writes.len(), 4);
         assert_eq!(stats.blocks_emitted, 4);
@@ -129,6 +121,8 @@ mod tests {
         assert!(writes[1].data.is_empty());
         assert_eq!(buf[8..12], [4, 5, 6, 7]);
         assert_eq!(buf[4..8], [0; 4], "gaps stay untouched");
+        let written = buf.written().expect("written through the recorder");
+        assert_eq!(written, [(0, 4), (8, 4), (16, 4), (24, 4)]);
     }
 
     #[test]
@@ -137,7 +131,7 @@ mod tests {
         let dl = compile(&dt, 1);
         let mut seg = Segment::new(dl);
         let payload: PktView = vec![0u8; 8].into();
-        let mut buf = [0u8; 64];
+        let mut buf = take_zeroed(64);
         let (_, stats) = scatter_packet(&mut seg, 16, &payload, Vec::new(), &mut dst(&mut buf));
         assert_eq!(stats.catchup_blocks, 4);
         assert_eq!(stats.blocks_emitted, 2);
@@ -149,7 +143,7 @@ mod tests {
         let dl = compile(&dt, 1);
         let mut seg = Segment::new(dl);
         let payload: PktView = vec![0u8; 8].into();
-        let mut buf = [0u8; 64];
+        let mut buf = take_zeroed(64);
         let (writes, stats) =
             scatter_packet_seek(&mut seg, 16, &payload, Vec::new(), &mut dst(&mut buf));
         assert_eq!(stats.catchup_blocks, 0);

@@ -104,6 +104,113 @@ pub fn reference_unpack(dt: &Datatype, count: u32, src: &[u8], dst: &mut [u8], o
     assert_eq!(pos, src.len(), "stream length mismatch in reference_unpack");
 }
 
+/// Whether an unpack `image` (index 0 ↔ buffer offset `origin`) equals
+/// the image a manual copy of `packed` along the typemap builds: the
+/// `written` runs `(buf_off, len)` recorded while unpacking, sorted and
+/// merged, cover exactly the `reference` runs, and the reference runs'
+/// bytes in `image`, taken in stream order, equal `packed`.
+///
+/// `written` may come in any order (a NIC's DMA order is not stream
+/// order once several HPUs finish out of turn) and may repeat runs; the
+/// verdict sorts and merges it in place. `reference` is the typemap's
+/// runs in stream order, adjacent runs merged or not (the element-wise
+/// walk, or the dataloop's merged runs from [`crate::flatten`]).
+///
+/// This equals comparing `image` byte for byte with a second,
+/// span-sized image that a manual copy filled, without building that
+/// image or reading a gap:
+/// - `image` starts all-zero, as the manual image does (a receive
+///   buffer from `nca_sim::arena`, by its invariant that a pooled
+///   buffer is all-zero);
+/// - every write to `image` goes through the recorder that produced
+///   `written` (for a NIC receive, `DirectDst`'s recorder, the only way
+///   a handler or the NIC's data-carrying writes reach the buffer), and
+///   the kernels behind it are safe slice copies of exactly the recorded
+///   extents (`pack_unpack_identity` in `nca-ddt`'s proptests holds
+///   them to that);
+/// - so when the written runs cover exactly the typemap's bytes, every
+///   gap is still zero, as in the manual image;
+/// - the covered bytes then match exactly when they hold the packed
+///   stream in typemap order, which is what the manual copy put there.
+///
+/// The coverage check and the last step need a typemap without
+/// overlaps, which MPI requires of a receive type: where two elements
+/// overlap, the manual copy keeps only the later one's bytes.
+/// Allocates nothing; linear in the runs when the reference is sorted by
+/// buffer offset (every app typemap is).
+pub fn typemap_verdict(
+    image: &[u8],
+    origin: i64,
+    written: &mut [(i64, u64)],
+    reference: &[(i64, u64)],
+    packed: &[u8],
+) -> bool {
+    // Written in stream order and merged as the reference is (an
+    // unpack's recorder, or an in-order landing): the cover is the
+    // reference's by construction, and skipping the sort and merge
+    // halves the verdict's time over the app typemaps.
+    (written == reference || covers(written, reference, packed.len()))
+        && holds_stream(image, origin, reference, packed)
+}
+
+/// Whether `written`, sorted and merged in place, is `total` bytes long
+/// and covers every `reference` run. With disjoint reference runs of
+/// `total` bytes in all (which [`holds_stream`] checks), that makes it
+/// exactly the reference's bytes.
+fn covers(written: &mut [(i64, u64)], reference: &[(i64, u64)], total: usize) -> bool {
+    let end = |(off, len): (i64, u64)| off + len as i64;
+    // Sort, then merge overlapping or touching runs into a prefix.
+    written.sort_unstable();
+    let (mut merged, mut bytes) = (0usize, 0u64);
+    for i in 0..written.len() {
+        let run = written[i];
+        match merged.checked_sub(1).map(|last| &mut written[last]) {
+            _ if run.1 == 0 => continue,
+            Some(last) if run.0 <= end(*last) => {
+                let grown = (end(run) - last.0) as u64;
+                if grown > last.1 {
+                    bytes += grown - last.1;
+                    last.1 = grown;
+                }
+            }
+            _ => {
+                written[merged] = run;
+                merged += 1;
+                bytes += run.1;
+            }
+        }
+    }
+    if bytes != total as u64 {
+        return false;
+    }
+    let covered = &written[..merged];
+    let mut at = 0usize;
+    reference.iter().filter(|run| run.1 > 0).all(|&run| {
+        if at == merged || run.0 < covered[at].0 {
+            // A step back (or a gap): find the run by binary search.
+            at = covered.partition_point(|&c| end(c) <= run.0);
+        }
+        while at < merged && end(covered[at]) <= run.0 {
+            at += 1;
+        }
+        at < merged && covered[at].0 <= run.0 && end(run) <= end(covered[at])
+    })
+}
+
+/// Whether the `reference` runs' bytes in `image`, taken in stream
+/// order, are exactly `packed`.
+fn holds_stream(image: &[u8], origin: i64, reference: &[(i64, u64)], packed: &[u8]) -> bool {
+    let mut cursor = 0usize;
+    reference.iter().all(|&(off, len)| {
+        let (at, len) = ((off - origin) as usize, len as usize);
+        let same = packed
+            .get(cursor..cursor + len)
+            .is_some_and(|stream| image[at..at + len] == *stream);
+        cursor += len;
+        same
+    }) && cursor == packed.len()
+}
+
 /// Reference gather (pack): inverse of [`reference_unpack`].
 pub fn reference_pack(dt: &Datatype, count: u32, src: &[u8], origin: i64) -> Vec<u8> {
     let mut out = Vec::with_capacity((dt.size * count as u64) as usize);
@@ -182,6 +289,83 @@ mod tests {
                 assert_eq!(out[i], 0, "unmapped byte {i} written");
             }
         }
+    }
+
+    #[test]
+    fn typemap_verdict_rejects_every_wrong_image() {
+        use crate::flatten::flatten;
+        use crate::pack::{buffer_span, pack_pattern, unpack};
+        // Four 8-byte runs at a 48-byte stride: 40-byte gaps.
+        let dt = Datatype::vector(4, 2, 12, &elem::int());
+        let (origin, span) = buffer_span(&dt, 1);
+        let packed = pack_pattern(&dt, 1);
+        let mut image = vec![0u8; span as usize];
+        unpack(&dt, 1, &packed, &mut image, origin).unwrap();
+        // The element-wise reference: eight 4-byte elements.
+        let reference = blocks(&dt, 1);
+        let written: Vec<(i64, u64)> = flatten(&dt, 1)
+            .entries
+            .iter()
+            .map(|e| (e.offset, e.len))
+            .collect();
+        assert_eq!(written.len(), 4);
+        let verdict = |image: &[u8], written: &[(i64, u64)]| {
+            typemap_verdict(image, origin, &mut written.to_vec(), &reference, &packed)
+        };
+        let at = |run: usize| (written[run].0 - origin) as usize;
+        assert!(verdict(&image, &written));
+        // Written exactly as the reference lists it.
+        assert!(verdict(&image, &reference));
+
+        // Shuffled runs, as several HPUs finishing out of turn give.
+        let shuffled = [written[2], written[0], written[3], written[1]];
+        assert!(verdict(&image, &shuffled));
+
+        // A run recorded twice, and one recorded as two halves.
+        let mut twice = written.clone();
+        twice.insert(0, written[1]);
+        twice[2] = (written[1].0 + 4, 4);
+        twice.push((written[1].0, 4));
+        assert!(verdict(&image, &twice));
+
+        // One run shifted by a byte, its bytes moved along with it.
+        let (mut img, mut runs) = (image.clone(), written.clone());
+        let bytes = img[at(1)..at(1) + 8].to_vec();
+        img[at(1)..at(1) + 8].fill(0);
+        img[at(1) + 1..at(1) + 9].copy_from_slice(&bytes);
+        runs[1].0 += 1;
+        assert!(!verdict(&img, &runs));
+
+        // A run missing from the written list, its bytes left zero.
+        let (mut img, mut runs) = (image.clone(), written.clone());
+        img[at(2)..at(2) + 8].fill(0);
+        runs.remove(2);
+        assert!(!verdict(&img, &runs));
+
+        // An extra one-byte run in the gap after run 0.
+        let (mut img, mut runs) = (image.clone(), written.clone());
+        img[at(0) + 12] = 0xab;
+        runs.insert(1, (written[0].0 + 12, 1));
+        assert!(!verdict(&img, &runs));
+
+        // One covered byte flipped.
+        let mut img = image.clone();
+        img[at(3)] ^= 0xff;
+        assert!(!verdict(&img, &written));
+    }
+
+    #[test]
+    fn typemap_verdict_reads_a_reference_out_of_buffer_order() {
+        // Field A at offset 8 comes first in the stream, B at 0 second.
+        let t = Datatype::struct_(&[1, 1], &[8, 0], &[elem::int(), elem::int()]).unwrap();
+        let packed = [1u8, 2, 3, 4, 5, 6, 7, 8];
+        let mut image = [5u8, 6, 7, 8, 0, 0, 0, 0, 1, 2, 3, 4];
+        let reference = blocks(&t, 1);
+        let verdict =
+            |image: &[u8]| typemap_verdict(image, 0, &mut [(8, 4), (0, 4)], &reference, &packed);
+        assert!(verdict(&image));
+        image[0] = 1;
+        assert!(!verdict(&image));
     }
 
     #[test]

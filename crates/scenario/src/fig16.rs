@@ -61,8 +61,9 @@ fn compute_row(w: &nca_workloads::AppWorkload) -> Row {
     let host = exp.run_host();
     let iovec = exp.run_iovec();
     // Keep only what the row needs, so each run's receive buffer (a full
-    // span image, 255 MiB for NAS-MG/d) is freed before the next run
-    // allocates its own.
+    // span image, 255 MiB for NAS-MG/d) returns to the worker's arena,
+    // re-zeroed over the extents the run wrote, before the next run
+    // takes it again.
     let run = |s| {
         let r = exp.run(s);
         (r.processing_time() as f64, r.nic_mem_bytes as f64 / 1024.0)

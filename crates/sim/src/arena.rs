@@ -1,155 +1,290 @@
-//! Per-worker buffer arena: recycled byte buffers for hot allocation sites.
+//! Per-worker buffer arena: recycled receive buffers that record where
+//! they were written.
 //!
 //! The packet-path hot loop allocates one large, short-lived buffer per
-//! simulated message: the simulated host receive buffer (~128 KiB for the
-//! bench datatype, i.e. over glibc's mmap threshold, so a plain
-//! `vec![0; span]` costs an mmap + page faults + munmap per run). Sweeps
-//! repeat that thousands of times per worker.
+//! simulated message: the simulated host receive buffer, which spans
+//! the datatype's extent (~128 KiB for the bench datatype, 255 MiB for
+//! NAS-MG/d's 512 KiB message). A plain `vec![0; span]` costs an mmap,
+//! a page fault per touched page and a munmap per run, and sweeps and
+//! traffic cells repeat that thousands of times per worker.
 //!
-//! [`PooledBuf`] is a `Vec<u8>` that returns its storage to a thread-local
-//! free list on drop; [`take_zeroed`] hands it back re-zeroed (a memset,
-//! not a fresh mapping). Pool hits are witnessed by the profiler's `alloc`
-//! phase share in `ncmt_cli run --profile`.
+//! **Invariant:** a pooled buffer is all-zero over its whole length.
+//! [`take_zeroed`] therefore hands out the shortest pooled buffer that is
+//! long enough with no memset; its [`PooledBuf`] exposes exactly the
+//! requested `len` bytes (`Deref<Target = [u8]>`) of a possibly longer
+//! storage. Writers that keep the pool cheap record every extent they
+//! write ([`PooledBuf::record`], [`PooledBuf::record_strided`]): the
+//! NIC's receive buffers are written only that way. On drop, only the
+//! recorded runs are re-zeroed, one fill over their hull when the hull is
+//! not much longer than the runs, so a sparse receive pays for the bytes
+//! it landed, not for its span. Any other mutable access (`DerefMut`,
+//! [`PooledBuf::from_vec`], `From<Vec<u8>>`, `Clone`) marks the buffer
+//! untracked, and drop then zeroes its whole visible length.
 //!
-//! Buffers over [`MAX_RETAIN_BYTES`] bypass the pool both ways: drop frees
-//! them, and [`take_zeroed`] returns a fresh zeroed allocation, whose
-//! pages the allocator maps zero-filled on first touch. A sparse datatype
-//! spanning hundreds of MiB then pays only for the pages the NIC writes,
-//! not for a memset of the whole span.
-//!
-//! The pool is strictly thread-local, so the `nca_sim::pool` workers each
-//! get an independent arena and no locks are involved. Bounds: at most
-//! [`MAX_POOLED`] buffers retained per thread, each at most
-//! [`MAX_RETAIN_BYTES`] capacity.
+//! **Retention bound:** the pool is strictly thread-local, so the
+//! `nca_sim::pool` workers each get an independent arena and no locks are
+//! involved. A thread keeps at most [`MAX_POOLED`] buffers, of any size,
+//! and when no pooled buffer is long enough, [`take_zeroed`] frees them
+//! all (they are all shorter) before it allocates, so a thread's cold
+//! peak is its largest live request, not that plus its pool. Pool hits
+//! are witnessed by the profiler's `alloc` phase share in
+//! `ncmt_cli run --profile`.
 
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
 
 /// Max buffers kept per thread.
 const MAX_POOLED: usize = 8;
-/// Max capacity of a buffer worth retaining (4 MiB).
-const MAX_RETAIN_BYTES: usize = 4 << 20;
+/// Drop zeroes the recorded runs' hull in one fill when the hull is at
+/// most the runs' bytes plus this many bytes per run. In cache, a short
+/// fill costs about as much as 200 more bytes of a long one (on a Xeon
+/// core, 128-byte runs at a 256-byte stride over 512 KiB: 16.5 µs run by
+/// run, 13 µs as one fill), and the slack keeps the hull from reaching
+/// pages no run wrote.
+const FILL_SLACK_PER_RUN: usize = 128;
+
+/// A written extent `(start, len)` in buffer indices.
+pub type Run = (usize, usize);
+
+/// Pooled storage: zeroed bytes plus the emptied run list that recorded
+/// their last use, kept so steady-state receives allocate neither.
+struct Pooled {
+    bytes: Vec<u8>,
+    runs: Vec<Run>,
+}
 
 thread_local! {
-    static POOL: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
+    static POOL: RefCell<Vec<Pooled>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A `Vec<u8>` whose storage is recycled through the thread-local arena.
+/// A byte buffer whose storage is recycled through the thread-local
+/// arena.
 ///
-/// Dereferences to `Vec<u8>`, so indexing, slicing, iteration and length
-/// checks all work unchanged; it also compares equal to plain `Vec<u8>` /
-/// `[u8]` so assertions against reference images need no conversion.
+/// Dereferences to its `len` visible bytes, so indexing, slicing,
+/// iteration and length checks all work unchanged; it also compares
+/// equal to plain `Vec<u8>` / `[u8]` so assertions against reference
+/// images need no conversion.
 #[derive(Default)]
 pub struct PooledBuf {
-    buf: Vec<u8>,
+    /// Storage, at least `len` bytes. Zero wherever no recorded run (or,
+    /// once untracked, no visible byte) lies.
+    bytes: Vec<u8>,
+    /// Visible length.
+    len: usize,
+    /// Extents written through the recorder, in recording order; a run
+    /// that starts where the previous one ends extends it.
+    runs: Vec<Run>,
+    /// Written by something other than the recorder: drop zeroes every
+    /// visible byte.
+    untracked: bool,
 }
 
-/// Take a buffer of `len` zeroed bytes, reusing pooled storage when a
-/// pooled buffer's capacity suffices. Requests over [`MAX_RETAIN_BYTES`]
-/// get a fresh zeroed allocation and leave the pool untouched.
+/// Take a buffer of `len` zeroed bytes: the shortest pooled buffer long
+/// enough, or, when none is, a fresh zeroed allocation once the pool
+/// (holding only shorter buffers) has been freed.
 pub fn take_zeroed(len: usize) -> PooledBuf {
-    let _phase = crate::profile::enter(crate::profile::Phase::Alloc);
-    if len > MAX_RETAIN_BYTES {
-        return PooledBuf {
-            buf: vec![0u8; len],
-        };
+    if len == 0 {
+        return PooledBuf::default();
     }
-    let mut buf = POOL.with(|p| {
+    let _phase = crate::profile::enter(crate::profile::Phase::Alloc);
+    let Pooled { bytes, runs } = POOL.with(|p| {
         let mut pool = p.borrow_mut();
-        // First fit: take the first buffer that already has the capacity.
-        if let Some(i) = pool.iter().position(|b| b.capacity() >= len) {
-            pool.swap_remove(i)
-        } else {
-            pool.pop().unwrap_or_default()
+        let best = (0..pool.len())
+            .filter(|&i| pool[i].bytes.len() >= len)
+            .min_by_key(|&i| pool[i].bytes.len());
+        match best {
+            Some(i) => pool.swap_remove(i),
+            None => {
+                // Every pooled buffer is shorter: free them first.
+                pool.clear();
+                Pooled {
+                    bytes: vec![0u8; len],
+                    runs: Vec::new(),
+                }
+            }
         }
     });
-    buf.clear();
-    buf.resize(len, 0);
-    PooledBuf { buf }
+    PooledBuf {
+        bytes,
+        len,
+        runs,
+        untracked: false,
+    }
 }
 
 impl PooledBuf {
-    /// Wrap an existing vector (it joins the pool when dropped).
-    pub fn from_vec(buf: Vec<u8>) -> Self {
-        PooledBuf { buf }
+    /// Wrap an existing vector (untracked; it joins the pool, zeroed,
+    /// when dropped).
+    pub fn from_vec(bytes: Vec<u8>) -> Self {
+        PooledBuf {
+            len: bytes.len(),
+            bytes,
+            runs: Vec::new(),
+            untracked: true,
+        }
     }
 
-    /// Move the bytes out, bypassing the pool.
+    /// Move the `len` visible bytes out, bypassing the pool.
     pub fn into_vec(mut self) -> Vec<u8> {
-        std::mem::take(&mut self.buf)
+        let mut bytes = std::mem::take(&mut self.bytes);
+        bytes.truncate(self.len);
+        bytes
+    }
+
+    /// Record `[at, at + len)` as written and return exactly those bytes
+    /// to write.
+    pub fn record(&mut self, at: usize, len: usize) -> &mut [u8] {
+        let extent = &mut self.bytes[..self.len][at..at + len];
+        push_run(&mut self.runs, at, len);
+        extent
+    }
+
+    /// Record the `n` extents of `len` bytes at `at + i·step` (`step`
+    /// may be negative) as written and return the visible bytes to write
+    /// them through. The caller writes nothing else (`nca_ddt::kernels`'
+    /// `copy_strided` writes exactly these extents): drop re-zeroes only
+    /// what was recorded.
+    pub fn record_strided(&mut self, at: usize, step: isize, len: usize, n: usize) -> &mut [u8] {
+        if n > 0 && len > 0 {
+            let last = at as isize + (n as isize - 1) * step;
+            assert!(last >= 0, "strided write before the buffer");
+            let (lo, hi) = (at.min(last as usize), at.max(last as usize) + len);
+            assert!(hi <= self.len, "strided write past the buffer");
+            if step.unsigned_abs() == len {
+                push_run(&mut self.runs, lo, hi - lo);
+            } else {
+                for i in 0..n as isize {
+                    push_run(&mut self.runs, (at as isize + i * step) as usize, len);
+                }
+            }
+        }
+        &mut self.bytes[..self.len]
+    }
+
+    /// The extents written through the recorder, in recording order, or
+    /// `None` once the buffer was written some other way.
+    pub fn written(&self) -> Option<&[Run]> {
+        (!self.untracked).then_some(&self.runs[..])
+    }
+
+    /// Restore the all-zero invariant over the storage.
+    fn rezero(&mut self) {
+        if self.untracked {
+            self.bytes[..self.len].fill(0);
+            return;
+        }
+        let (lo, hi, covered) = self
+            .runs
+            .iter()
+            .fold((usize::MAX, 0, 0), |(lo, hi, sum), &(at, n)| {
+                (lo.min(at), hi.max(at + n), sum + n)
+            });
+        if lo >= hi {
+            return; // nothing recorded
+        }
+        if hi - lo <= covered + FILL_SLACK_PER_RUN * self.runs.len() {
+            self.bytes[lo..hi].fill(0);
+        } else {
+            for &(at, n) in &self.runs {
+                self.bytes[at..at + n].fill(0);
+            }
+        }
+    }
+}
+
+/// Append `[at, at + len)` to `runs`, extending the last run when it
+/// ends where this one starts; a zero-length write records nothing.
+fn push_run(runs: &mut Vec<Run>, at: usize, len: usize) {
+    if len == 0 {
+        return;
+    }
+    match runs.last_mut() {
+        Some((start, n)) if *start + *n == at => *n += len,
+        _ => runs.push((at, len)),
     }
 }
 
 impl Drop for PooledBuf {
     fn drop(&mut self) {
-        let buf = std::mem::take(&mut self.buf);
-        if buf.capacity() == 0 || buf.capacity() > MAX_RETAIN_BYTES {
+        if self.bytes.is_empty() {
             return;
         }
-        POOL.with(|p| {
+        // `try_with`: a buffer dropped while the thread tears its pool
+        // down is simply freed.
+        let _ = POOL.try_with(|p| {
             let mut pool = p.borrow_mut();
-            if pool.len() < MAX_POOLED {
-                pool.push(buf);
+            if pool.len() >= MAX_POOLED {
+                return;
             }
+            let _phase = crate::profile::enter(crate::profile::Phase::Alloc);
+            self.rezero();
+            let mut runs = std::mem::take(&mut self.runs);
+            runs.clear();
+            pool.push(Pooled {
+                bytes: std::mem::take(&mut self.bytes),
+                runs,
+            });
         });
     }
 }
 
 impl Deref for PooledBuf {
-    type Target = Vec<u8>;
+    type Target = [u8];
     #[inline]
-    fn deref(&self) -> &Vec<u8> {
-        &self.buf
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..self.len]
     }
 }
 
 impl DerefMut for PooledBuf {
+    /// Unrecorded access: marks the buffer untracked.
     #[inline]
-    fn deref_mut(&mut self) -> &mut Vec<u8> {
-        &mut self.buf
+    fn deref_mut(&mut self) -> &mut [u8] {
+        self.untracked = true;
+        &mut self.bytes[..self.len]
     }
 }
 
 impl Clone for PooledBuf {
     fn clone(&self) -> Self {
-        let mut c = take_zeroed(self.buf.len());
-        c.copy_from_slice(&self.buf);
+        let mut c = take_zeroed(self.len);
+        c.copy_from_slice(self);
         c
     }
 }
 
 impl std::fmt::Debug for PooledBuf {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.buf.fmt(f)
+        self[..].fmt(f)
     }
 }
 
 impl From<Vec<u8>> for PooledBuf {
-    fn from(buf: Vec<u8>) -> Self {
-        PooledBuf { buf }
+    fn from(bytes: Vec<u8>) -> Self {
+        PooledBuf::from_vec(bytes)
     }
 }
 
 impl PartialEq for PooledBuf {
     fn eq(&self, other: &Self) -> bool {
-        self.buf == other.buf
+        self[..] == other[..]
     }
 }
 impl Eq for PooledBuf {}
 
 impl PartialEq<Vec<u8>> for PooledBuf {
     fn eq(&self, other: &Vec<u8>) -> bool {
-        &self.buf == other
+        self[..] == other[..]
     }
 }
 impl PartialEq<PooledBuf> for Vec<u8> {
     fn eq(&self, other: &PooledBuf) -> bool {
-        self == &other.buf
+        self[..] == other[..]
     }
 }
 impl PartialEq<[u8]> for PooledBuf {
     fn eq(&self, other: &[u8]) -> bool {
-        self.buf.as_slice() == other
+        self[..] == *other
     }
 }
 
@@ -157,12 +292,29 @@ impl PartialEq<[u8]> for PooledBuf {
 mod tests {
     use super::*;
 
+    /// Storage lengths of the pooled buffers, in pool order.
+    fn pooled() -> Vec<usize> {
+        POOL.with(|p| p.borrow().iter().map(|b| b.bytes.len()).collect())
+    }
+
+    /// Re-take a buffer of `len` bytes and scan its whole storage (each
+    /// test runs on its own thread, so the pool holds only its buffers).
+    fn storage_is_zero(len: usize) -> bool {
+        let b = take_zeroed(len);
+        b.bytes.iter().all(|&x| x == 0)
+    }
+
+    /// Every pooled buffer's whole storage is zero.
+    fn pool_is_zero() -> bool {
+        POOL.with(|p| p.borrow().iter().all(|b| b.bytes.iter().all(|&x| x == 0)))
+    }
+
     #[test]
     fn take_zeroed_is_zeroed_after_reuse() {
         {
             let mut a = take_zeroed(1024);
             a.iter_mut().for_each(|b| *b = 0xAB);
-        } // returns to pool dirty
+        } // returns to pool dirty, untracked
         let b = take_zeroed(512);
         assert_eq!(b.len(), 512);
         assert!(b.iter().all(|&x| x == 0));
@@ -170,14 +322,105 @@ mod tests {
 
     #[test]
     fn reuse_keeps_capacity() {
-        let cap = {
-            let a = take_zeroed(100_000);
-            a.capacity()
-        };
+        let ptr = take_zeroed(100_000).as_ptr();
         let b = take_zeroed(100_000);
-        assert!(b.capacity() >= 100_000);
-        // Same thread, pool hit: capacity survives the round trip.
-        assert!(cap >= 100_000 && b.capacity() >= cap.min(100_000));
+        // Same thread, pool hit: the storage survives the round trip.
+        assert_eq!(b.as_ptr(), ptr);
+        assert_eq!(b.len(), 100_000);
+    }
+
+    #[test]
+    fn recorded_runs_are_rezeroed_per_run() {
+        {
+            let mut a = take_zeroed(4096);
+            // Two 8-byte runs 4000 bytes apart: the hull is far longer
+            // than the runs, so drop fills each run.
+            a.record(16, 8).fill(0xAB);
+            a.record(4040, 8).fill(0xCD);
+            assert_eq!(a.written(), Some(&[(16, 8), (4040, 8)][..]));
+        }
+        assert!(storage_is_zero(4096));
+    }
+
+    #[test]
+    fn recorded_runs_are_rezeroed_over_their_hull() {
+        {
+            let mut a = take_zeroed(4096);
+            // 32 runs of 16 bytes at a 32-byte stride: the hull is barely
+            // longer than the runs, so drop fills it once.
+            let buf = a.record_strided(1024, 32, 16, 32);
+            for i in 0..32 {
+                buf[1024 + i * 32..1024 + i * 32 + 16].fill(0xEE);
+            }
+            assert_eq!(a.written().map(<[Run]>::len), Some(32));
+            // A contiguous strided write records one run.
+            a.record_strided(64, 8, 8, 4)[64..96].fill(0xEE);
+            assert_eq!(a.written().and_then(|r| r.last().copied()), Some((64, 32)));
+        }
+        assert!(storage_is_zero(4096));
+    }
+
+    #[test]
+    fn negative_strides_record_their_blocks() {
+        let mut a = take_zeroed(256);
+        a.record_strided(192, -64, 16, 3);
+        assert_eq!(a.written(), Some(&[(192, 16), (128, 16), (64, 16)][..]));
+        a.record_strided(32, -8, 8, 3);
+        assert_eq!(a.written().and_then(|r| r.last().copied()), Some((16, 24)));
+    }
+
+    #[test]
+    fn untracked_buffers_come_back_zeroed() {
+        {
+            let mut a = take_zeroed(512);
+            a.record(0, 4).fill(1);
+            a[300] = 7; // DerefMut: unrecorded
+            assert_eq!(a.written(), None);
+        }
+        assert!(storage_is_zero(512));
+        drop(PooledBuf::from(vec![9u8; 512]));
+        assert!(pool_is_zero());
+        let src = PooledBuf::from_vec(vec![3u8; 512]);
+        let copy = src.clone();
+        assert_eq!(copy.written(), None);
+        drop((src, copy));
+        assert!(pool_is_zero());
+        assert_eq!(pooled().len(), 3);
+    }
+
+    #[test]
+    fn take_zeroed_picks_the_shortest_fit() {
+        drop((take_zeroed(100), take_zeroed(300), take_zeroed(200)));
+        let b = take_zeroed(150);
+        assert_eq!(b.bytes.len(), 200);
+        let mut left = pooled();
+        left.sort_unstable();
+        assert_eq!(left, [100, 300]);
+    }
+
+    #[test]
+    fn a_longer_buffer_exposes_exactly_len() {
+        drop(take_zeroed(1000));
+        let mut b = take_zeroed(10);
+        assert_eq!(b.bytes.len(), 1000, "pool hit");
+        assert_eq!(b.len(), 10);
+        assert_eq!(b, vec![0u8; 10]);
+        b.record(6, 4).copy_from_slice(&[1, 2, 3, 4]);
+        assert_eq!(b.into_vec(), [0, 0, 0, 0, 0, 0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn a_fresh_allocation_frees_the_shorter_pool_first() {
+        drop((take_zeroed(64), take_zeroed(128)));
+        assert_eq!(pooled().len(), 2);
+        let big = take_zeroed(1024);
+        assert!(
+            pooled().is_empty(),
+            "shorter buffers freed before allocating"
+        );
+        assert_eq!(big.len(), 1024);
+        drop(big);
+        assert_eq!(pooled(), [1024]);
     }
 
     #[test]
@@ -190,32 +433,5 @@ mod tests {
         assert_eq!(a, *v.as_slice());
         let b = a.clone();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn oversized_requests_are_zeroed_and_leave_the_pool_alone() {
-        let small_ptr = {
-            let small = take_zeroed(1024);
-            small.as_ptr()
-        }; // back in the pool
-        let big = take_zeroed(MAX_RETAIN_BYTES + 1);
-        assert_eq!(POOL.with(|p| p.borrow().len()), 1);
-        assert_eq!(big.len(), MAX_RETAIN_BYTES + 1);
-        // Sampled bytes only: a full scan is slow under miri.
-        for i in (0..big.len()).step_by(4093).chain([big.len() - 1]) {
-            assert_eq!(big[i], 0, "byte {i}");
-        }
-        let again = take_zeroed(1024);
-        assert_eq!(again.as_ptr(), small_ptr, "the pooled buffer was consumed");
-    }
-
-    #[test]
-    fn oversized_buffers_are_not_retained() {
-        let huge = MAX_RETAIN_BYTES + 1;
-        drop(PooledBuf::from_vec(Vec::with_capacity(huge)));
-        // Nothing observable to assert beyond "no panic"; the cap is a
-        // memory bound, exercised here for miri.
-        let s = take_zeroed(16);
-        assert_eq!(s.len(), 16);
     }
 }

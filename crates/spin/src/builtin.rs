@@ -38,10 +38,8 @@ impl MessageProcessor for ContigProcessor {
     fn on_payload(&mut self, ctx: &mut PacketCtx<'_>) -> HandlerOutput {
         // One whole-payload block: copy it now, length-only write.
         let host_off = self.base + ctx.stream_offset as i64;
-        let d = &mut ctx.direct;
-        let start = (host_off - d.origin) as usize;
         let len = ctx.payload.len();
-        d.buf[start..start + len].copy_from_slice(ctx.payload);
+        ctx.direct.block(host_off, ctx.payload, 0, len);
         let w = DmaWrite::len_only(host_off, len as u64);
         HandlerOutput {
             cost: HandlerCost {

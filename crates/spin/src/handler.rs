@@ -9,7 +9,7 @@
 //! processing function startup incl. catch-up), and `processing`
 //! (per-block work).
 
-use nca_sim::{PktView, Time};
+use nca_sim::{PktView, PooledBuf, Time};
 
 /// One DMA write toward host memory (`PltHandlerDMAToHostNB`).
 #[derive(Debug, Clone)]
@@ -18,10 +18,11 @@ pub struct DmaWrite {
     /// datatype origin; may be negative for types with negative lb).
     pub host_off: i64,
     /// The bytes to write: a view into the shared wire buffer, which the
-    /// DMA engine copies into the receive buffer when the write is
-    /// enqueued (the non-processing and unexpected paths). Empty for
-    /// handler writes, whose bytes a direct scatter already landed (see
-    /// [`PacketCtx::direct`]), and for the completion signal.
+    /// DMA engine copies into the receive buffer through [`DirectDst`]
+    /// when the write is enqueued (the non-processing and unexpected
+    /// paths). Empty for handler writes, whose bytes a direct scatter
+    /// already landed (see [`PacketCtx::direct`]), and for the completion
+    /// signal: a length-only write is a timing record and writes nothing.
     pub data: PktView,
     /// Write length in bytes — what the DMA timing model charges. Equals
     /// `data.len()` for view-carrying writes; length-only writes have
@@ -122,12 +123,42 @@ pub struct HandlerOutput {
 /// receive buffer *immediately* and emit length-only DMA writes for the
 /// timing model. That skips one wire-buffer view per contiguous block
 /// plus a second pass over the data.
+///
+/// It is the only way anything writes a receive buffer: its buffer is
+/// private, and [`DirectDst::block`] and [`DirectDst::strided`] copy with
+/// `nca_ddt::kernels` and record the extents they copy in the buffer
+/// (`nca_sim::arena`). The arena re-zeroes only those extents when the
+/// buffer returns to it, and a message source verifies a landing by them
+/// (`nca_ddt::typemap::typemap_verdict`).
 pub struct DirectDst<'a> {
-    /// The receive buffer.
-    pub buf: &'a mut [u8],
-    /// Buffer offset of `buf[0]` (the datatype origin; `host_off -
-    /// origin` indexes the slice).
-    pub origin: i64,
+    buf: &'a mut PooledBuf,
+    origin: i64,
+}
+
+impl<'a> DirectDst<'a> {
+    /// Scatter into `buf`, whose index 0 is buffer offset `origin` (the
+    /// datatype origin).
+    pub fn new(buf: &'a mut PooledBuf, origin: i64) -> Self {
+        DirectDst { buf, origin }
+    }
+
+    /// Copy `src[src_off..src_off + len]` to buffer offset `buf_off`.
+    #[inline]
+    pub fn block(&mut self, buf_off: i64, src: &[u8], src_off: usize, len: usize) {
+        let dst = self.buf.record((buf_off - self.origin) as usize, len);
+        nca_ddt::kernels::copy_block(dst, 0, src, src_off, len);
+    }
+
+    /// Copy `n` blocks of `len` bytes, block `i` from `src` at
+    /// `src_off + i·len` to buffer offset `buf_off + i·step`.
+    #[inline]
+    pub fn strided(&mut self, buf_off: i64, step: i64, src: &[u8], src_off: i64, len: u64, n: u64) {
+        let at = buf_off - self.origin;
+        let dst = self
+            .buf
+            .record_strided(at as usize, step as isize, len as usize, n as usize);
+        nca_ddt::kernels::copy_strided(dst, at, step, src, src_off, len as i64, len, n);
+    }
 }
 
 /// Per-packet context handed to the payload handler.

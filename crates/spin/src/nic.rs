@@ -189,8 +189,11 @@ pub struct RunReport {
     /// Completion event time (last byte in receive buffer, ps).
     pub t_complete: Time,
     /// The receive buffer after the run (index 0 ↔ `host_origin`).
-    /// A pooled buffer (derefs to `Vec<u8>`): dropping the report returns
-    /// the storage to the worker's arena for the next run.
+    /// A pooled buffer that derefs to its span's bytes (`[u8]`) and
+    /// carries the extents written into it
+    /// ([`PooledBuf::written`](nca_sim::PooledBuf::written)): dropping
+    /// the report re-zeroes those and returns the storage to the worker's
+    /// arena for the next run.
     pub host_buf: nca_sim::PooledBuf,
     /// Host-buffer offset of index 0.
     pub host_origin: i64,
@@ -279,10 +282,12 @@ pub trait MessageSource: Sized + 'static {
     fn steer(&self, m: usize, vhpu: u64) -> usize;
 
     /// Message `m`'s completion write landed at `t`; `buf` is its final
-    /// receive buffer. This runs as its own simulator event at landing
-    /// time, so a source that admits work against completions sees them
-    /// in simulated-time order.
-    fn landed(&mut self, _m: usize, _t: Time, _buf: &[u8]) {}
+    /// receive buffer and `written` the extents `(index, len)` written
+    /// into it, in DMA order (see [`DirectDst`]): every byte of `buf`
+    /// outside them is zero. This runs as its own simulator event at
+    /// landing time, so a source that admits work against completions
+    /// sees them in simulated-time order.
+    fn landed(&mut self, _m: usize, _t: Time, _buf: &[u8], _written: &[nca_sim::arena::Run]) {}
 
     /// Whether the `trace_*` hooks record anything. The core skips its
     /// per-write DMA trace emission when neither this nor its own
@@ -314,6 +319,7 @@ impl MessageSource for OneMessage {
 }
 
 const LIVE: &str = "message state released before its last event";
+const RECORDED: &str = "receive buffers are written only through DirectDst";
 
 /// One message's receive state.
 struct Message {
@@ -777,10 +783,7 @@ impl<S: MessageSource> Nic<S> {
             npkt: st.packets.len() as u64,
             vhpu,
             now,
-            direct: DirectDst {
-                buf: &mut st.host_buf[..],
-                origin: st.host_origin,
-            },
+            direct: DirectDst::new(&mut st.host_buf, st.host_origin),
         };
         let out = st.proc.as_deref_mut().expect(LIVE).on_payload(&mut ctx);
         if S::RETAIN {
@@ -924,8 +927,12 @@ impl<S: MessageSource> Nic<S> {
         if !w.data.is_empty() {
             let _phase = nca_sim::profile::enter(nca_sim::profile::Phase::DmaCopy);
             let st = &mut self.msgs[m];
-            let off = (w.host_off - st.host_origin) as usize;
-            nca_ddt::kernels::copy_block(&mut st.host_buf, off, &w.data, 0, w.data.len());
+            DirectDst::new(&mut st.host_buf, st.host_origin).block(
+                w.host_off,
+                &w.data,
+                0,
+                w.data.len(),
+            );
         }
         if w.event {
             sim.schedule_call(land, ev_complete::<S>, m as u64, 0);
@@ -937,7 +944,8 @@ impl<S: MessageSource> Nic<S> {
         let st = &mut self.msgs[m];
         st.t_complete = Some(t);
         self.tel.instant("spin", "message_complete", m as u64, t);
-        self.src.landed(m, t, &st.host_buf);
+        let written = st.host_buf.written().expect(RECORDED);
+        self.src.landed(m, t, &st.host_buf, written);
         if !S::RETAIN {
             st.proc = None;
             st.packets = Vec::new();

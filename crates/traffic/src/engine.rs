@@ -23,7 +23,9 @@
 use std::collections::HashMap;
 
 use nca_core::runner::Strategy;
-use nca_ddt::pack::{buffer_span, pack_pattern, unpack};
+use nca_ddt::flatten::flatten;
+use nca_ddt::pack::{buffer_span, pack_pattern};
+use nca_ddt::typemap::typemap_verdict;
 use nca_sim::{FaultInjector, FaultSpec, Sim, Time, WireBuf};
 use nca_spin::nic::{MessageSource, Nic};
 use nca_spin::params::{NicParams, ReliabilityParams};
@@ -224,7 +226,9 @@ struct CachedWorkload {
     dt: nca_ddt::types::Datatype,
     count: u32,
     packed: WireBuf,
-    expect: Vec<u8>,
+    /// The dataloop's merged runs `(buf_off, len)` in stream order: the
+    /// reference a landing is verified against (no span-sized image).
+    runs: Vec<(i64, u64)>,
     origin: i64,
     span: u64,
 }
@@ -271,6 +275,10 @@ struct Cell {
     jitter_src: FaultInjector,
     epsilon: f64,
     verify: bool,
+    /// A landing's written extents as buffer offsets, for the verdict to
+    /// sort in place; reused so verification allocates nothing per
+    /// message.
+    written: Vec<(i64, u64)>,
     cache: Vec<CachedWorkload>,
     /// `(tenant, mix_idx)` → cache slot.
     mix_slot: Vec<Vec<usize>>,
@@ -302,11 +310,19 @@ impl MessageSource for Cell {
         self.rss.hpu_for(flow_hash(a.tenant, a.flow))
     }
 
-    fn landed(&mut self, m: usize, t: Time, buf: &[u8]) {
+    fn landed(&mut self, m: usize, t: Time, buf: &[u8], written: &[nca_sim::arena::Run]) {
         let a = &self.admitted[m];
         let c = &self.cache[a.wl];
-        if self.verify && buf != c.expect {
-            self.byte_exact = false;
+        if self.verify {
+            self.written.clear();
+            self.written.extend(
+                written
+                    .iter()
+                    .map(|&(at, n)| (c.origin + at as i64, n as u64)),
+            );
+            if !typemap_verdict(buf, c.origin, &mut self.written, &c.runs, &c.packed) {
+                self.byte_exact = false;
+            }
         }
         let stats = &mut self.stats[a.tenant];
         stats.completed += 1;
@@ -455,13 +471,16 @@ pub fn run_traffic_with(cfg: &TrafficConfig, tel: &Telemetry) -> TrafficRunResul
                 let (origin, span) = buffer_span(&w.dt, w.count);
                 // The same payload `core::runner::Experiment` sends.
                 let packed: WireBuf = pack_pattern(&w.dt, w.count).into();
-                let mut expect = vec![0u8; span as usize];
-                unpack(&w.dt, w.count, &packed, &mut expect, origin).expect("unpackable");
+                let runs = flatten(&w.dt, w.count)
+                    .entries
+                    .iter()
+                    .map(|e| (e.offset, e.len))
+                    .collect();
                 cache.push(CachedWorkload {
                     dt: w.dt.clone(),
                     count: w.count,
                     packed,
-                    expect,
+                    runs,
                     origin,
                     span,
                 });
@@ -486,6 +505,7 @@ pub fn run_traffic_with(cfg: &TrafficConfig, tel: &Telemetry) -> TrafficRunResul
         jitter_src: FaultInjector::new(FaultSpec::inert().with_seed(splitmix64(cfg.seed ^ 0x7261))),
         epsilon: cfg.epsilon,
         verify: cfg.verify,
+        written: Vec::new(),
         cache,
         mix_slot,
         strategies: cfg.tenants.iter().map(|t| t.strategy).collect(),

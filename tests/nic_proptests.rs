@@ -4,7 +4,11 @@
 use proptest::prelude::*;
 
 use ncmt::core::runner::{Experiment, Strategy as Recv};
+use ncmt::ddt::flatten::flatten;
+use ncmt::ddt::pack::{buffer_span, unpack};
+use ncmt::ddt::typemap::typemap_verdict;
 use ncmt::ddt::types::{elem, Datatype, DatatypeExt};
+use ncmt::sim::arena::take_zeroed;
 use ncmt::sim::{FaultSpec, WireBuf};
 use ncmt::spin::builtin::ContigProcessor;
 use ncmt::spin::nic::{ReceiveSim, RunConfig};
@@ -38,6 +42,33 @@ fn arb_message_type() -> impl Strategy<Value = (Datatype, u32)> {
                 let inner = Datatype::vector(ic, 1, 3, &b3);
                 (
                     Datatype::hvector(oc, 1, (stride as i64) * 64, &inner),
+                    count,
+                )
+            }),
+        ]
+    })
+}
+
+/// Vector and indexed-block types from dense to sparse (gaps of 1–63
+/// elements), so the arena's re-zeroing takes both its one hull fill
+/// and its per-run fills.
+fn arb_landing_type() -> impl Strategy<Value = (Datatype, u32)> {
+    let base = prop_oneof![Just(elem::int()), Just(elem::double())];
+    (base, 1u32..3).prop_flat_map(|(b, count)| {
+        let (b1, b2) = (b.clone(), b);
+        prop_oneof![
+            (64u32..512, 1u32..16, 1i64..64).prop_map(move |(c, bl, gap)| {
+                (Datatype::vector(c, bl, bl as i64 + gap, &b1), count)
+            }),
+            (proptest::collection::vec(1i64..64, 16..128), 1u32..6).prop_map(move |(gaps, bl)| {
+                let mut displs = Vec::with_capacity(gaps.len());
+                let mut at = 0i64;
+                for g in gaps {
+                    displs.push(at);
+                    at += bl as i64 + g;
+                }
+                (
+                    Datatype::indexed_block(bl, &displs, &b2).expect("valid"),
                     count,
                 )
             }),
@@ -98,6 +129,72 @@ proptest! {
             prop_assert!(r.rel.delivered_exactly_once, "{}", s.label());
             prop_assert_eq!(r.rel.dups_injected, r.rel.dups_suppressed);
             prop_assert_eq!(r.rel.corrupts_injected, r.rel.corrupts_rejected);
+        }
+    }
+
+    /// The premises of the typemap verdict, held by the NIC itself, for
+    /// random vector and indexed types, dense to sparse, under every
+    /// strategy, in and out of order, lossless and faulty: every nonzero byte of the receive
+    /// buffer lies inside its recorded extents; the verdict over those
+    /// extents equals the span-sized compare with a reference unpack (the
+    /// old check, kept here as the oracle); and the arena hands the span
+    /// back all-zero once the report is dropped.
+    #[test]
+    fn recorded_extents_verify_like_the_span_compare(
+        (dt, count) in arb_landing_type(),
+        reorder_seed in 0u64..1000,
+        fault_seed in 0u64..1000,
+    ) {
+        prop_assume!(dt.size * count as u64 >= 4096);
+        let (origin, span) = buffer_span(&dt, count);
+        let reference: Vec<(i64, u64)> = flatten(&dt, count)
+            .entries
+            .iter()
+            .map(|e| (e.offset, e.len))
+            .collect();
+        let mut exp = Experiment::new(dt, count, NicParams::with_hpus(8));
+        exp.verify = false;
+        let packed = exp.packed_message();
+        let mut expect = vec![0u8; span as usize];
+        unpack(&exp.dt, count, &packed, &mut expect, origin).expect("unpackable");
+        let lossy = FaultSpec {
+            drop: 0.05,
+            duplicate: 0.02,
+            corrupt: 0.01,
+            reorder_window: nca_sim::us(2),
+            seed: fault_seed,
+        };
+        for (order, faults) in [
+            (None, FaultSpec::inert()),
+            (Some(reorder_seed), FaultSpec::inert()),
+            (None, lossy),
+            (Some(reorder_seed), lossy),
+        ] {
+            exp.out_of_order = order;
+            exp.faults = faults;
+            for s in Recv::ALL {
+                let r = exp.run(s);
+                let buf = &r.host_buf;
+                let written = buf.written().expect("the NIC records every write");
+                let mut covered = vec![false; buf.len()];
+                for &(at, n) in written {
+                    covered[at..at + n].fill(true);
+                }
+                prop_assert!(
+                    buf.iter().zip(&covered).all(|(&b, &c)| b == 0 || c),
+                    "{}: a nonzero byte outside the recorded extents", s.label()
+                );
+                let mut runs: Vec<(i64, u64)> = written
+                    .iter()
+                    .map(|&(at, n)| (origin + at as i64, n as u64))
+                    .collect();
+                let verdict = typemap_verdict(buf, origin, &mut runs, &reference, &packed);
+                prop_assert_eq!(verdict, *buf == expect, "{}", s.label());
+                prop_assert!(verdict, "{}: receive not byte-exact", s.label());
+                drop(r);
+                let next = take_zeroed(span as usize);
+                prop_assert!(next.iter().all(|&b| b == 0), "{}: dirty pooled buffer", s.label());
+            }
         }
     }
 

@@ -101,7 +101,7 @@ fn rwcp_revert_is_traced() {
     let (tel, sink) = Telemetry::ring(256);
     let mut p =
         GeneralProcessor::new(GeneralKind::RwCp, &dt, count, params, 0.2).with_telemetry(tel);
-    let mut host = vec![0u8; span as usize];
+    let mut host = ncmt::sim::arena::take_zeroed(span as usize);
     let mut later = PacketCtx {
         payload: &packed.view(ps, ps),
         stream_offset: ps as u64,
@@ -109,10 +109,7 @@ fn rwcp_revert_is_traced() {
         npkt: 2,
         vhpu: 0,
         now: 10,
-        direct: DirectDst {
-            buf: &mut host,
-            origin,
-        },
+        direct: DirectDst::new(&mut host, origin),
     };
     p.on_payload(&mut later);
     let mut earlier = PacketCtx {
@@ -122,10 +119,7 @@ fn rwcp_revert_is_traced() {
         npkt: 2,
         vhpu: 0,
         now: 20,
-        direct: DirectDst {
-            buf: &mut host,
-            origin,
-        },
+        direct: DirectDst::new(&mut host, origin),
     };
     p.on_payload(&mut earlier);
     let rec = p.recovery();
