@@ -7,7 +7,7 @@ use nca_ddt::pack::{buffer_span, pack_pattern, unpack};
 use nca_ddt::types::Datatype;
 use nca_sim::{FaultSpec, Pool, Time, WireBuf};
 use nca_spin::builtin::ContigProcessor;
-use nca_spin::handler::MessageProcessor;
+use nca_spin::handler::{unpack_recorded, MessageProcessor};
 use nca_spin::nic::{EngineMode, ReceiveSim, RunConfig, RunReport};
 use nca_spin::params::{NicParams, ReliabilityParams};
 use std::sync::Arc;
@@ -282,12 +282,11 @@ impl Experiment {
         );
         let dl = compile_cached(&self.dt, self.count);
         let unpack_cost = HostCostModel::default().unpack_time(dl.size, dl.blocks.max(1));
-        let mut host_buf = vec![0u8; span as usize];
-        unpack(&self.dt, self.count, packed, &mut host_buf, origin).expect("unpackable");
+        let host_buf = unpack_recorded(dl, packed, origin, span);
         self.telemetry
             .counter("core", "nic_mem_fallback", 0, report.t_complete, 1);
         report.strategy = strategy.label();
-        report.host_buf = host_buf.into();
+        report.host_buf = host_buf;
         report.host_origin = origin;
         report.t_complete += unpack_cost;
         report.rel.nic_mem_fallback = true;

@@ -106,15 +106,21 @@ pub fn reference_unpack(dt: &Datatype, count: u32, src: &[u8], dst: &mut [u8], o
 
 /// Whether an unpack `image` (index 0 ↔ buffer offset `origin`) equals
 /// the image a manual copy of `packed` along the typemap builds: the
-/// `written` runs `(buf_off, len)` recorded while unpacking, sorted and
-/// merged, cover exactly the `reference` runs, and the reference runs'
-/// bytes in `image`, taken in stream order, equal `packed`.
+/// `written` runs recorded while unpacking cover exactly the
+/// `reference` runs, and the reference runs' bytes in `image`, taken in
+/// stream order, equal `packed`.
 ///
-/// `written` may come in any order (a NIC's DMA order is not stream
-/// order once several HPUs finish out of turn) and may repeat runs; the
-/// verdict sorts and merges it in place. `reference` is the typemap's
-/// runs in stream order, adjacent runs merged or not (the element-wise
-/// walk, or the dataloop's merged runs from [`crate::flatten`]).
+/// `written` is what the receive buffer recorded, `(index, len)` with
+/// index 0 at `origin`, sorted by index and merged (disjoint, not
+/// touching), as `nca_sim::arena::PooledBuf::merged_written` returns it
+/// whatever order the writes came in (a NIC's DMA order is not stream
+/// order once several HPUs finish out of turn). `reference` is the
+/// typemap's runs `(buf_off, len)` in stream order, adjacent runs merged
+/// or not (the element-wise walk, or the dataloop's merged runs from
+/// [`crate::flatten`]). Written runs out of order or not merged never
+/// let a wrong image pass: each reference run must lie inside one
+/// written run, and the written runs' lengths must add up to the
+/// message. Debug builds assert the order.
 ///
 /// This equals comparing `image` byte for byte with a second,
 /// span-sized image that a manual copy filled, without building that
@@ -123,11 +129,11 @@ pub fn reference_unpack(dt: &Datatype, count: u32, src: &[u8], dst: &mut [u8], o
 ///   buffer from `nca_sim::arena`, by its invariant that a pooled
 ///   buffer is all-zero);
 /// - every write to `image` goes through the recorder that produced
-///   `written` (for a NIC receive, `DirectDst`'s recorder, the only way
-///   a handler or the NIC's data-carrying writes reach the buffer), and
-///   the kernels behind it are safe slice copies of exactly the recorded
-///   extents (`pack_unpack_identity` in `nca-ddt`'s proptests holds
-///   them to that);
+///   `written` (`DirectDst`'s recorder in `nca_spin`, the only way a
+///   handler, the NIC's data-carrying writes or a host-side unpack reach
+///   a receive buffer), and the kernels behind it are safe slice copies
+///   of exactly the recorded extents (`pack_unpack_identity` in
+///   `nca-ddt`'s proptests holds them to that);
 /// - so when the written runs cover exactly the typemap's bytes, every
 ///   gap is still zero, as in the manual image;
 /// - the covered bytes then match exactly when they hold the packed
@@ -141,59 +147,47 @@ pub fn reference_unpack(dt: &Datatype, count: u32, src: &[u8], dst: &mut [u8], o
 pub fn typemap_verdict(
     image: &[u8],
     origin: i64,
-    written: &mut [(i64, u64)],
+    written: &[(usize, usize)],
     reference: &[(i64, u64)],
     packed: &[u8],
 ) -> bool {
-    // Written in stream order and merged as the reference is (an
-    // unpack's recorder, or an in-order landing): the cover is the
-    // reference's by construction, and skipping the sort and merge
-    // halves the verdict's time over the app typemaps.
-    (written == reference || covers(written, reference, packed.len()))
+    debug_assert!(
+        written.is_sorted_by(|a, b| a.0 + a.1 < b.0),
+        "written runs must be sorted and merged"
+    );
+    // Merged as the reference is (a typemap in buffer order, unpacked or
+    // landed): the cover is the reference's by construction.
+    let as_listed = written.len() == reference.len()
+        && written
+            .iter()
+            .zip(reference)
+            .all(|(&(at, n), &(off, len))| origin + at as i64 == off && n as u64 == len);
+    (as_listed || covers(written, origin, reference, packed.len()))
         && holds_stream(image, origin, reference, packed)
 }
 
-/// Whether `written`, sorted and merged in place, is `total` bytes long
-/// and covers every `reference` run. With disjoint reference runs of
-/// `total` bytes in all (which [`holds_stream`] checks), that makes it
-/// exactly the reference's bytes.
-fn covers(written: &mut [(i64, u64)], reference: &[(i64, u64)], total: usize) -> bool {
-    let end = |(off, len): (i64, u64)| off + len as i64;
-    // Sort, then merge overlapping or touching runs into a prefix.
-    written.sort_unstable();
-    let (mut merged, mut bytes) = (0usize, 0u64);
-    for i in 0..written.len() {
-        let run = written[i];
-        match merged.checked_sub(1).map(|last| &mut written[last]) {
-            _ if run.1 == 0 => continue,
-            Some(last) if run.0 <= end(*last) => {
-                let grown = (end(run) - last.0) as u64;
-                if grown > last.1 {
-                    bytes += grown - last.1;
-                    last.1 = grown;
-                }
-            }
-            _ => {
-                written[merged] = run;
-                merged += 1;
-                bytes += run.1;
-            }
-        }
-    }
-    if bytes != total as u64 {
+/// Whether `written` (sorted and merged) is `total` bytes long and
+/// covers every `reference` run. With disjoint reference runs of `total`
+/// bytes in all (which [`holds_stream`] checks), that makes it exactly
+/// the reference's bytes.
+fn covers(written: &[(usize, usize)], origin: i64, reference: &[(i64, u64)], total: usize) -> bool {
+    let end = |(at, n): (usize, usize)| at + n;
+    if written.iter().map(|run| run.1).sum::<usize>() != total {
         return false;
     }
-    let covered = &written[..merged];
     let mut at = 0usize;
-    reference.iter().filter(|run| run.1 > 0).all(|&run| {
-        if at == merged || run.0 < covered[at].0 {
+    reference.iter().filter(|run| run.1 > 0).all(|&(off, len)| {
+        let Ok(start) = usize::try_from(off - origin) else {
+            return false; // before the image
+        };
+        if at == written.len() || start < written[at].0 {
             // A step back (or a gap): find the run by binary search.
-            at = covered.partition_point(|&c| end(c) <= run.0);
+            at = written.partition_point(|&c| end(c) <= start);
         }
-        while at < merged && end(covered[at]) <= run.0 {
+        while at < written.len() && end(written[at]) <= start {
             at += 1;
         }
-        at < merged && covered[at].0 <= run.0 && end(run) <= end(covered[at])
+        at < written.len() && written[at].0 <= start && start + len as usize <= end(written[at])
     })
 }
 
@@ -303,30 +297,27 @@ mod tests {
         unpack(&dt, 1, &packed, &mut image, origin).unwrap();
         // The element-wise reference: eight 4-byte elements.
         let reference = blocks(&dt, 1);
-        let written: Vec<(i64, u64)> = flatten(&dt, 1)
+        // Runs as a receive buffer records them: `(index, len)`.
+        let recorded = |runs: &[(i64, u64)]| -> Vec<(usize, usize)> {
+            runs.iter()
+                .map(|&(off, len)| ((off - origin) as usize, len as usize))
+                .collect()
+        };
+        let flat: Vec<(i64, u64)> = flatten(&dt, 1)
             .entries
             .iter()
             .map(|e| (e.offset, e.len))
             .collect();
+        let written = recorded(&flat);
         assert_eq!(written.len(), 4);
-        let verdict = |image: &[u8], written: &[(i64, u64)]| {
-            typemap_verdict(image, origin, &mut written.to_vec(), &reference, &packed)
+        let verdict = |image: &[u8], written: &[(usize, usize)]| {
+            typemap_verdict(image, origin, written, &reference, &packed)
         };
-        let at = |run: usize| (written[run].0 - origin) as usize;
+        let at = |run: usize| written[run].0;
         assert!(verdict(&image, &written));
-        // Written exactly as the reference lists it.
-        assert!(verdict(&image, &reference));
-
-        // Shuffled runs, as several HPUs finishing out of turn give.
-        let shuffled = [written[2], written[0], written[3], written[1]];
-        assert!(verdict(&image, &shuffled));
-
-        // A run recorded twice, and one recorded as two halves.
-        let mut twice = written.clone();
-        twice.insert(0, written[1]);
-        twice[2] = (written[1].0 + 4, 4);
-        twice.push((written[1].0, 4));
-        assert!(verdict(&image, &twice));
+        // Against the dataloop's merged runs, which the written list
+        // equals.
+        assert!(typemap_verdict(&image, origin, &written, &flat, &packed));
 
         // One run shifted by a byte, its bytes moved along with it.
         let (mut img, mut runs) = (image.clone(), written.clone());
@@ -362,7 +353,7 @@ mod tests {
         let mut image = [5u8, 6, 7, 8, 0, 0, 0, 0, 1, 2, 3, 4];
         let reference = blocks(&t, 1);
         let verdict =
-            |image: &[u8]| typemap_verdict(image, 0, &mut [(8, 4), (0, 4)], &reference, &packed);
+            |image: &[u8]| typemap_verdict(image, 0, &[(0, 4), (8, 4)], &reference, &packed);
         assert!(verdict(&image));
         image[0] = 1;
         assert!(!verdict(&image));

@@ -7,16 +7,22 @@
 //!
 //! Each row checks that the engine's receive image is the one the
 //! manual copy would build, by typemap rather than over the span. The
-//! engine unpacks into one zeroed span-sized image through a sink that
-//! records every extent it writes; the manual path walks the typemap
-//! into the same kind of run list without copying anything.
+//! engine unpacks into a zeroed arena image
+//! ([`nca_spin::handler::unpack_recorded`]) through `DirectDst`'s
+//! recorder, the one every NIC write goes through, so the image lists
+//! the extents written into it; the manual path walks the typemap into
+//! a run list without copying anything.
 //! [`nca_ddt::typemap::typemap_verdict`], the verdict traffic landings
-//! use too, then compares the two run lists, and the written bytes with
-//! the packed stream. No gap byte is read and no second image is built,
-//! so a sparse type pays for its message and for the pages it writes,
-//! not for its span (NAS-MG/d's 512 KiB message spans 255 MiB). Its doc
-//! comment says why this equals comparing the engine's image with a
-//! manually filled one byte for byte.
+//! use too, then compares the image's own runs (sorted and merged in
+//! place) with the typemap's, and the written bytes with the packed
+//! stream. No gap byte is read and no second image is built, so a
+//! sparse type pays for its message and for the pages it writes, not for
+//! its span (NAS-MG/d's 512 KiB message spans 255 MiB). Its doc comment
+//! says why this equals comparing the engine's image with a manually
+//! filled one byte for byte. Dropping the image re-zeroes only those
+//! runs and pools it in the worker's arena, so a later row on that
+//! worker, or a later run on the thread that is a `Pool`'s worker 0,
+//! reuses storage whose pages are already faulted in.
 
 use std::fmt::Write;
 use std::sync::Arc;
@@ -25,8 +31,9 @@ use nca_core::costmodel::HostCostModel;
 use nca_ddt::dataloop::compile_cached;
 use nca_ddt::pack::{buffer_span, pack_pattern};
 use nca_ddt::typemap::{for_each_block, typemap_verdict};
-use nca_ddt::{BlockSink, CopySink, Dataloop, Datatype, Segment};
+use nca_ddt::Datatype;
 use nca_sim::Pool;
+use nca_spin::handler::unpack_recorded;
 use nca_workloads::apps::all_workloads;
 
 use crate::schema::{esc, fmt_f64};
@@ -45,10 +52,10 @@ pub struct CompareRow {
     /// Elementary typemap entries (the manual path's copies).
     pub elements: u64,
     /// Engine and manual unpack produce identical receive buffers.
-    /// Decided by typemap, not over the span: the engine wrote exactly
-    /// the typemap's extents, in typemap order, into a zeroed image, so
-    /// every gap is still zero, and those extents hold the packed
-    /// stream, which is what the manual copy puts there.
+    /// Decided by typemap, not over the span: the image came all-zero
+    /// from the arena and the recorder wrote exactly the typemap's
+    /// extents into it, so every gap is still zero, and those extents
+    /// hold the packed stream, which is what the manual copy puts there.
     pub byte_exact: bool,
     /// Modeled engine unpack time (ps): one copy per merged block.
     pub engine_ps: u64,
@@ -115,9 +122,9 @@ fn throughput_gbit(bytes: u64, ps: u64) -> f64 {
     bytes as f64 * 8000.0 / ps as f64
 }
 
-/// Write extents `(buf_off, len)` in stream order. An extent that
-/// starts where the previous one ends is merged into it, so a list does
-/// not depend on how a walk split its writes into calls.
+/// The typemap's extents `(buf_off, len)` in stream order. An extent
+/// that starts where the previous one ends is merged into it, as the
+/// arena's recorder merges the engine's writes.
 type Runs = Vec<(i64, u64)>;
 
 /// Append `[off, off + len)` to `runs`; a zero-length write records
@@ -130,52 +137,6 @@ fn push_run(runs: &mut Runs, off: i64, len: u64) {
         Some((at, n)) if *at + *n as i64 == off => *n += len,
         _ => runs.push((off, len)),
     }
-}
-
-/// [`CopySink`] with a recorder in front: every extent is recorded,
-/// then the whole call is forwarded, so the same kernels do the copying
-/// and the runs are exactly the bytes they wrote.
-struct RecordingSink<'a> {
-    copy: CopySink<'a>,
-    runs: Runs,
-}
-
-impl BlockSink for RecordingSink<'_> {
-    fn block(&mut self, buf_off: i64, len: u64, stream_off: u64) {
-        push_run(&mut self.runs, buf_off, len);
-        self.copy.block(buf_off, len, stream_off);
-    }
-
-    fn strided(&mut self, buf_off: i64, len: u64, stream_off: u64, n: u64, step: i64) {
-        if step == len as i64 {
-            push_run(&mut self.runs, buf_off, n * len);
-        } else {
-            for i in 0..n as i64 {
-                push_run(&mut self.runs, buf_off + i * step, len);
-            }
-        }
-        self.copy.strided(buf_off, len, stream_off, n, step);
-    }
-}
-
-/// The engine path: `nca_ddt::pack::unpack`'s walk with a recorder in
-/// front of its sink. Returns the zeroed `span`-byte image it unpacked
-/// `packed` into (index 0 ↔ buffer offset `origin`) and the runs it
-/// wrote.
-fn engine_unpack(dl: Arc<Dataloop>, packed: &[u8], origin: i64, span: u64) -> (Vec<u8>, Runs) {
-    let mut image = vec![0u8; span as usize];
-    let mut sink = RecordingSink {
-        copy: CopySink {
-            src: packed,
-            stream_base: 0,
-            dst: &mut image,
-            origin,
-        },
-        runs: Runs::new(),
-    };
-    Segment::new(dl).advance(u64::MAX, &mut sink);
-    let runs = sink.runs;
-    (image, runs)
 }
 
 /// The manual path: walk the typemap leaf by leaf, one elementary
@@ -195,9 +156,14 @@ fn compare_row(w: &nca_workloads::AppWorkload) -> CompareRow {
     let (origin, span) = buffer_span(&w.dt, w.count);
     let packed = pack_pattern(&w.dt, w.count);
     let dl = compile_cached(&w.dt, w.count);
-    let (image, mut written) = engine_unpack(Arc::clone(&dl), &packed, origin, span);
+    // The engine path: `nca_ddt::pack::unpack`'s walk into a zeroed
+    // arena image, through the recorder every NIC write uses.
+    let mut image = unpack_recorded(Arc::clone(&dl), &packed, origin, span);
     let (typemap, elements) = typemap_runs(&w.dt, w.count);
-    let byte_exact = typemap_verdict(&image, origin, &mut written, &typemap, &packed);
+    let (bytes, written) = image
+        .merged_written()
+        .expect("the host unpack writes only through the recorder");
+    let byte_exact = typemap_verdict(bytes, origin, written, &typemap, &packed);
 
     let model = HostCostModel::default();
     let engine_ps = model.unpack_time(dl.size, dl.blocks);
@@ -265,17 +231,17 @@ pub fn render(rows: &[CompareRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nca_ddt::pack::unpack;
     use nca_workloads::AppWorkload;
 
-    /// The reference verdict: unpack into one span-sized image, copy the
-    /// packed stream element by element into a second one, and compare
-    /// the two over the whole span.
+    /// The reference verdict: the engine's image as `compare_row` takes
+    /// it (an arena buffer, warm after earlier rows), compared over the
+    /// whole span with a second image that a copy of the packed stream,
+    /// element by element, filled. The only check here that reads gaps,
+    /// so it is what catches a dirty pooled buffer.
     fn two_image_verdict(w: &AppWorkload) -> bool {
         let (origin, span) = buffer_span(&w.dt, w.count);
         let packed = pack_pattern(&w.dt, w.count);
-        let mut engine_dst = vec![0u8; span as usize];
-        unpack(&w.dt, w.count, &packed, &mut engine_dst, origin).expect("app datatypes unpack");
+        let engine = unpack_recorded(compile_cached(&w.dt, w.count), &packed, origin, span);
         let mut manual_dst = vec![0u8; span as usize];
         let mut cursor = 0usize;
         for_each_block(&w.dt, w.count, |off, len| {
@@ -284,7 +250,7 @@ mod tests {
             manual_dst[at..at + len].copy_from_slice(&packed[cursor..cursor + len]);
             cursor += len;
         });
-        engine_dst == manual_dst
+        engine == manual_dst
     }
 
     #[test]
@@ -294,21 +260,24 @@ mod tests {
             .filter(|w| w.msg_bytes() <= 512 << 10)
             .collect();
         assert!(!workloads.is_empty());
-        for w in &workloads {
-            let r = compare_row(w);
-            assert_eq!(
-                r.byte_exact,
-                two_image_verdict(w),
-                "{}: typemap verdict differs from the two-image compare",
-                r.label
-            );
-            assert!(r.byte_exact, "{}: engine vs manual mismatch", r.label);
-            assert!(
-                r.elements >= r.blocks,
-                "{}: merging cannot create blocks",
-                r.label
-            );
-            assert!(r.ratio >= 1.0, "{}: manual path cannot be faster", r.label);
+        // The second pass runs every row on buffers the first pooled.
+        for pass in 0..2 {
+            for w in &workloads {
+                let r = compare_row(w);
+                assert_eq!(
+                    r.byte_exact,
+                    two_image_verdict(w),
+                    "{} (pass {pass}): typemap verdict differs from the two-image compare",
+                    r.label
+                );
+                assert!(r.byte_exact, "{}: engine vs manual mismatch", r.label);
+                assert!(
+                    r.elements >= r.blocks,
+                    "{}: merging cannot create blocks",
+                    r.label
+                );
+                assert!(r.ratio >= 1.0, "{}: manual path cannot be faster", r.label);
+            }
         }
     }
 

@@ -13,13 +13,13 @@
 //! long enough with no memset; its [`PooledBuf`] exposes exactly the
 //! requested `len` bytes (`Deref<Target = [u8]>`) of a possibly longer
 //! storage. Writers that keep the pool cheap record every extent they
-//! write ([`PooledBuf::record`], [`PooledBuf::record_strided`]): the
-//! NIC's receive buffers are written only that way. On drop, only the
-//! recorded runs are re-zeroed, one fill over their hull when the hull is
-//! not much longer than the runs, so a sparse receive pays for the bytes
-//! it landed, not for its span. Any other mutable access (`DerefMut`,
-//! [`PooledBuf::from_vec`], `From<Vec<u8>>`, `Clone`) marks the buffer
-//! untracked, and drop then zeroes its whole visible length.
+//! write ([`PooledBuf::record`], [`PooledBuf::record_strided`]): receive
+//! buffers, the NIC's and the host unpack's, are written only that way.
+//! On drop, only the recorded runs are re-zeroed, one fill over their
+//! hull when the hull is not much longer than the runs, so a sparse
+//! receive pays for the bytes it landed, not for its span. Any other
+//! mutable access (`DerefMut`, `Clone`) marks the buffer untracked, and
+//! drop then zeroes its whole visible length.
 //!
 //! **Retention bound:** the pool is strictly thread-local, so the
 //! `nca_sim::pool` workers each get an independent arena and no locks are
@@ -28,7 +28,16 @@
 //! all (they are all shorter) before it allocates, so a thread's cold
 //! peak is its largest live request, not that plus its pool. Pool hits
 //! are witnessed by the profiler's `alloc` phase share in
-//! `ncmt_cli run --profile`.
+//! `ncmt_cli run --profile`. A multi-worker `nca_sim::pool::Pool` runs
+//! its worker 0 on the calling thread, which so reuses its own pool from
+//! call to call, as a one-worker pool does; the spawned workers' pools
+//! are freed with their threads when the call ends.
+//!
+//! **One owner of the invariant:** only this module touches the storage
+//! and the run list that says what to re-zero. Readers get the runs
+//! read-only: [`PooledBuf::written`] in recording order, or
+//! [`PooledBuf::merged_written`], which sorts and merges them in place
+//! and keeps their union.
 
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
@@ -113,17 +122,6 @@ pub fn take_zeroed(len: usize) -> PooledBuf {
 }
 
 impl PooledBuf {
-    /// Wrap an existing vector (untracked; it joins the pool, zeroed,
-    /// when dropped).
-    pub fn from_vec(bytes: Vec<u8>) -> Self {
-        PooledBuf {
-            len: bytes.len(),
-            bytes,
-            runs: Vec::new(),
-            untracked: true,
-        }
-    }
-
     /// Move the `len` visible bytes out, bypassing the pool.
     pub fn into_vec(mut self) -> Vec<u8> {
         let mut bytes = std::mem::take(&mut self.bytes);
@@ -165,6 +163,37 @@ impl PooledBuf {
     /// `None` once the buffer was written some other way.
     pub fn written(&self) -> Option<&[Run]> {
         (!self.untracked).then_some(&self.runs[..])
+    }
+
+    /// The visible bytes and the recorded runs sorted by start and
+    /// merged in place: disjoint, not touching, and covering exactly
+    /// the bytes written. For a reader after the last write (a verdict
+    /// that walks the runs in buffer order); a later write records after
+    /// them as usual. `None` once untracked.
+    pub fn merged_written(&mut self) -> Option<(&[u8], &[Run])> {
+        if self.untracked {
+            return None;
+        }
+        let runs = &mut self.runs;
+        // A recorder that wrote in buffer order already left them merged.
+        if !runs.is_sorted_by(|a, b| a.0 + a.1 < b.0) {
+            runs.sort_unstable();
+            let mut merged = 0usize;
+            for i in 0..runs.len() {
+                let (at, n) = runs[i];
+                match merged.checked_sub(1).map(|last| &mut runs[last]) {
+                    Some(last) if at <= last.0 + last.1 => {
+                        last.1 = last.1.max(at + n - last.0);
+                    }
+                    _ => {
+                        runs[merged] = (at, n);
+                        merged += 1;
+                    }
+                }
+            }
+            runs.truncate(merged);
+        }
+        Some((&self.bytes[..self.len], &self.runs))
     }
 
     /// Restore the all-zero invariant over the storage.
@@ -259,12 +288,6 @@ impl std::fmt::Debug for PooledBuf {
     }
 }
 
-impl From<Vec<u8>> for PooledBuf {
-    fn from(bytes: Vec<u8>) -> Self {
-        PooledBuf::from_vec(bytes)
-    }
-}
-
 impl PartialEq for PooledBuf {
     fn eq(&self, other: &Self) -> bool {
         self[..] == other[..]
@@ -288,6 +311,13 @@ impl PartialEq<[u8]> for PooledBuf {
     }
 }
 
+/// Whether every buffer in this thread's pool is zero over its whole
+/// storage.
+#[cfg(test)]
+pub(crate) fn pool_is_zero() -> bool {
+    POOL.with(|p| p.borrow().iter().all(|b| b.bytes.iter().all(|&x| x == 0)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,11 +332,6 @@ mod tests {
     fn storage_is_zero(len: usize) -> bool {
         let b = take_zeroed(len);
         b.bytes.iter().all(|&x| x == 0)
-    }
-
-    /// Every pooled buffer's whole storage is zero.
-    fn pool_is_zero() -> bool {
-        POOL.with(|p| p.borrow().iter().all(|b| b.bytes.iter().all(|&x| x == 0)))
     }
 
     #[test]
@@ -376,16 +401,48 @@ mod tests {
             a.record(0, 4).fill(1);
             a[300] = 7; // DerefMut: unrecorded
             assert_eq!(a.written(), None);
+            assert!(a.merged_written().is_none());
         }
         assert!(storage_is_zero(512));
-        drop(PooledBuf::from(vec![9u8; 512]));
-        assert!(pool_is_zero());
-        let src = PooledBuf::from_vec(vec![3u8; 512]);
+        let mut src = take_zeroed(512);
+        src.fill(3);
         let copy = src.clone();
         assert_eq!(copy.written(), None);
         drop((src, copy));
         assert!(pool_is_zero());
-        assert_eq!(pooled().len(), 3);
+        assert_eq!(pooled().len(), 2);
+    }
+
+    #[test]
+    fn merged_runs_cover_exactly_what_was_written() {
+        {
+            let mut a = take_zeroed(4096);
+            // Out of order, a run recorded twice, two halves of one run,
+            // a run inside another and two that touch.
+            for (at, n) in [(3000, 8), (100, 8), (108, 8), (2000, 8), (100, 4)] {
+                a.record(at, n).fill(0xAB);
+            }
+            for (at, n) in [(2002, 2), (3008, 8)] {
+                a.record(at, n).fill(0xAB);
+            }
+            let (bytes, runs) = a.merged_written().expect("recorded");
+            assert_eq!(bytes.len(), 4096);
+            assert_eq!(runs, [(100, 16), (2000, 8), (3000, 16)]);
+            // Merged runs stay merged; a later write records after them.
+            assert_eq!(a.merged_written().map(|(_, r)| r.len()), Some(3));
+            a.record(0, 4).fill(0xCD);
+            assert_eq!(a.written().and_then(|r| r.last().copied()), Some((0, 4)));
+            assert_eq!(
+                a.merged_written().map(|(_, r)| r.to_vec()),
+                Some(vec![(0, 4), (100, 16), (2000, 8), (3000, 16)])
+            );
+        }
+        assert!(storage_is_zero(4096));
+        // In buffer order, as an in-order unpack records them: untouched.
+        let mut b = take_zeroed(256);
+        b.record_strided(0, 32, 8, 4);
+        let recorded = b.written().map(<[Run]>::to_vec);
+        assert_eq!(b.merged_written().map(|(_, r)| r.to_vec()), recorded);
     }
 
     #[test]

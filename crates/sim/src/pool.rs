@@ -2,8 +2,8 @@
 //! simulations.
 //!
 //! The evaluation harnesses run large matrices of *independent*
-//! simulations (seed × scale × strategy fault sweeps, the 13 Fig. 16
-//! application workloads, per-figure parameter bins). Every cell is a
+//! simulations (seed × scale × strategy fault sweeps, the 36 Fig. 16
+//! application rows, per-figure parameter bins). Every cell is a
 //! pure function of its configuration — the event engine breaks ties by
 //! insertion sequence, so a cell's result is bit-identical however and
 //! whenever it runs. That makes the matrix embarrassingly parallel
@@ -30,8 +30,21 @@
 //!
 //! There are no external dependencies (the container builds with no
 //! crates.io route, per the rand/proptest shim precedent) — workers are
-//! `std::thread::scope` threads, so borrowed captures work and nothing
+//! `std::thread::scope` threads, so borrowed captures work and no thread
 //! outlives the call.
+//!
+//! **The caller is worker 0.** `par_map` spawns `jobs - 1` threads and
+//! runs worker 0's share on the calling thread, which would otherwise
+//! wait at the barrier. Worker 0 so takes its receive buffers from the
+//! caller's thread-local arena ([`crate::arena`]), as a one-worker pool
+//! does: a process that runs work on one thread again and again (a
+//! benchmark loop, a test that runs a plan twice) keeps worker 0's
+//! storage, pages already faulted in, between calls at any `jobs`. The
+//! spawned workers start with empty arenas and free them when the call
+//! ends, so a pool keeps nothing between calls beyond the caller's own
+//! arena, whose retention bound is the arena's. Which thread runs an
+//! item cannot change its result: the arena hands out only all-zero
+//! storage, and a job's other state is its own.
 
 use std::collections::VecDeque;
 use std::sync::{Mutex, MutexGuard};
@@ -65,8 +78,9 @@ pub fn resolve_jobs(requested: Option<usize>, env: Option<&str>) -> usize {
         .unwrap_or(1)
 }
 
-/// A fixed-width worker pool. Creating one allocates nothing; threads
-/// are scoped to each [`Pool::par_map`] call.
+/// A fixed-width worker pool. Creating one allocates nothing; the
+/// calling thread is worker 0 and the other workers are threads scoped
+/// to each [`Pool::par_map`] call.
 #[derive(Debug, Clone)]
 pub struct Pool {
     jobs: usize,
@@ -125,45 +139,51 @@ impl Pool {
             .map(|w| Mutex::new((w * n / workers..(w + 1) * n / workers).collect()))
             .collect();
 
+        let work = |w: usize| {
+            let mut out: Vec<(usize, R)> = Vec::new();
+            loop {
+                // Own deque first (front), then steal from a victim's
+                // back. The own-deque pop is its own statement so its
+                // guard drops before any victim is locked: holding it
+                // across a steal lets two idle workers each hold their
+                // own lock while waiting on the other's.
+                let own = lock(&queues[w]).pop_front();
+                let next = own.or_else(|| {
+                    (1..workers)
+                        .map(|d| (w + d) % workers)
+                        .find_map(|v| lock(&queues[v]).pop_back())
+                });
+                let Some(i) = next else { break };
+                // Item lock is released before `f` runs so a panicking
+                // job never poisons a slot.
+                let taken = lock(&slots[i]).take();
+                if let Some(item) = taken {
+                    out.push((i, f(i, item)));
+                }
+            }
+            // Self-profiler: spawned workers die with the scope; bank
+            // the phase totals first.
+            crate::profile::flush();
+            out
+        };
+
         let gathered: Vec<(usize, R)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
+            let handles: Vec<_> = (1..workers)
                 .map(|w| {
-                    let (queues, slots, f) = (&queues, &slots, &f);
+                    let work = &work;
                     scope.spawn(move || {
                         crate::profile::set_worker(w);
-                        let mut out: Vec<(usize, R)> = Vec::new();
-                        loop {
-                            // Own deque first (front), then steal from a
-                            // victim's back. The own-deque pop is its own
-                            // statement so its guard drops before any
-                            // victim is locked: holding it across a steal
-                            // lets two idle workers each hold their own
-                            // lock while waiting on the other's.
-                            let own = lock(&queues[w]).pop_front();
-                            let next = own.or_else(|| {
-                                (1..workers)
-                                    .map(|d| (w + d) % workers)
-                                    .find_map(|v| lock(&queues[v]).pop_back())
-                            });
-                            let Some(i) = next else { break };
-                            // Item lock is released before `f` runs so a
-                            // panicking job never poisons a slot.
-                            let taken = lock(&slots[i]).take();
-                            if let Some(item) = taken {
-                                out.push((i, f(i, item)));
-                            }
-                        }
-                        // Self-profiler: worker threads die with the
-                        // scope; bank their phase totals first.
-                        crate::profile::flush();
-                        out
+                        work(w)
                     })
                 })
                 .collect();
+            // Worker 0 is this thread (see the module doc). Its panic is
+            // held until every spawned worker has stopped.
+            let own = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(0)));
             let mut all = Vec::with_capacity(n);
             let mut panic = None;
-            for h in handles {
-                match h.join() {
+            for part in std::iter::once(own).chain(handles.into_iter().map(|h| h.join())) {
+                match part {
                     Ok(part) => all.extend(part),
                     Err(payload) => panic = panic.or(Some(payload)),
                 }
@@ -269,6 +289,79 @@ mod tests {
         Pool::serial().par_map(vec![(), (), ()], |_, ()| {
             assert_eq!(std::thread::current().id(), caller);
         });
+    }
+
+    /// Take a buffer, write it through the recorder, and return where
+    /// its storage lives.
+    fn dirty_buffer(len: usize) -> usize {
+        let mut b = crate::arena::take_zeroed(len);
+        b.record(1, 7).fill(0xAB);
+        b.as_ptr() as usize
+    }
+
+    #[test]
+    fn worker_zero_keeps_the_callers_storage_across_calls() {
+        let at = dirty_buffer(4096);
+        let caller = std::thread::current().id();
+        let pool = Pool::new(2);
+        // The barrier holds each job until both run, so each worker runs
+        // its own item: item 0 on worker 0, item 1 on worker 1.
+        let together = std::sync::Barrier::new(2);
+        let call = || {
+            pool.par_map(vec![4096usize, 4097], |_, len| {
+                together.wait();
+                (std::thread::current().id() == caller, dirty_buffer(len))
+            })
+        };
+        let first = call();
+        assert!(crate::arena::pool_is_zero(), "pooled storage is all-zero");
+        let second = call();
+        assert_eq!(
+            (first[0].0, first[1].0),
+            (true, false),
+            "worker 0 is the caller"
+        );
+        assert_eq!(first[0].1, at, "worker 0 took the caller's pooled storage");
+        assert_eq!(second[0].1, at, "and keeps it for the next call");
+        assert!(crate::arena::pool_is_zero(), "pooled storage is all-zero");
+        let serial = Pool::serial().par_map(vec![4096usize], |_, len| dirty_buffer(len));
+        assert_eq!(serial, [at], "as a one-worker pool does");
+    }
+
+    #[test]
+    fn a_panicking_job_leaves_only_zeroed_storage() {
+        // Item 0 runs on worker 0 (this thread), item 9 on a spawned one.
+        for boom in [0usize, 9] {
+            let pool = Pool::new(2);
+            let r = std::panic::catch_unwind(|| {
+                pool.par_map((0..16).collect::<Vec<usize>>(), |i, _| {
+                    let mut b = crate::arena::take_zeroed(256 + i);
+                    b.record(0, 8).fill(0xEE);
+                    if i == boom {
+                        b[100] = 1;
+                        panic!("job {i} exploded");
+                    }
+                    dirty_buffer(512 + i)
+                })
+            });
+            let payload = r.expect_err("panic must cross the barrier");
+            let msg = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            assert!(
+                msg.contains(&format!("job {boom}")),
+                "payload preserved, got {msg:?}"
+            );
+            let zero = pool.par_map((0..16).collect::<Vec<usize>>(), |i, _| {
+                crate::arena::take_zeroed(300 + i).iter().all(|&x| x == 0)
+            });
+            assert!(zero.iter().all(|&z| z), "boom {boom}: a dirty buffer");
+            assert!(
+                crate::arena::pool_is_zero(),
+                "boom {boom}: dirty pooled storage"
+            );
+        }
     }
 
     #[test]

@@ -9,6 +9,9 @@
 //! processing function startup incl. catch-up), and `processing`
 //! (per-block work).
 
+use std::sync::Arc;
+
+use nca_ddt::{BlockSink, Dataloop, Segment};
 use nca_sim::{PktView, PooledBuf, Time};
 
 /// One DMA write toward host memory (`PltHandlerDMAToHostNB`).
@@ -129,7 +132,8 @@ pub struct HandlerOutput {
 /// `nca_ddt::kernels` and record the extents they copy in the buffer
 /// (`nca_sim::arena`). The arena re-zeroes only those extents when the
 /// buffer returns to it, and a message source verifies a landing by them
-/// (`nca_ddt::typemap::typemap_verdict`).
+/// (`nca_ddt::typemap::typemap_verdict`). A host-side unpack writes
+/// through it too ([`unpack_recorded`]).
 pub struct DirectDst<'a> {
     buf: &'a mut PooledBuf,
     origin: i64,
@@ -159,6 +163,42 @@ impl<'a> DirectDst<'a> {
             .record_strided(at as usize, step as isize, len as usize, n as usize);
         nca_ddt::kernels::copy_strided(dst, at, step, src, src_off, len as i64, len, n);
     }
+}
+
+/// [`BlockSink`] that lands every block of a whole packed message
+/// (`packed[0]` is stream offset 0) through a [`DirectDst`].
+struct DirectSink<'a, 'b> {
+    packed: &'a [u8],
+    dst: DirectDst<'b>,
+}
+
+impl BlockSink for DirectSink<'_, '_> {
+    #[inline]
+    fn block(&mut self, buf_off: i64, len: u64, stream_off: u64) {
+        self.dst
+            .block(buf_off, self.packed, stream_off as usize, len as usize);
+    }
+
+    #[inline]
+    fn strided(&mut self, buf_off: i64, len: u64, stream_off: u64, n: u64, step: i64) {
+        self.dst
+            .strided(buf_off, step, self.packed, stream_off as i64, len, n);
+    }
+}
+
+/// Host-side unpack of a whole `packed` message along `dl` into a zeroed
+/// arena buffer of `span` bytes (index 0 ↔ buffer offset `origin`),
+/// written through the recorder like every NIC write, so the buffer
+/// lists what it holds and drop re-zeroes only that.
+pub fn unpack_recorded(dl: Arc<Dataloop>, packed: &[u8], origin: i64, span: u64) -> PooledBuf {
+    assert_eq!(packed.len() as u64, dl.size, "packed stream is one message");
+    let mut buf = nca_sim::arena::take_zeroed(span as usize);
+    let mut sink = DirectSink {
+        packed,
+        dst: DirectDst::new(&mut buf, origin),
+    };
+    Segment::new(dl).advance(u64::MAX, &mut sink);
+    buf
 }
 
 /// Per-packet context handed to the payload handler.

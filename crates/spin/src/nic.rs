@@ -282,12 +282,13 @@ pub trait MessageSource: Sized + 'static {
     fn steer(&self, m: usize, vhpu: u64) -> usize;
 
     /// Message `m`'s completion write landed at `t`; `buf` is its final
-    /// receive buffer and `written` the extents `(index, len)` written
-    /// into it, in DMA order (see [`DirectDst`]): every byte of `buf`
-    /// outside them is zero. This runs as its own simulator event at
-    /// landing time, so a source that admits work against completions
-    /// sees them in simulated-time order.
-    fn landed(&mut self, _m: usize, _t: Time, _buf: &[u8], _written: &[nca_sim::arena::Run]) {}
+    /// receive buffer, which recorded every extent written into it (see
+    /// [`DirectDst`]): every byte outside them is zero. A verdict reads
+    /// them sorted and merged through [`PooledBuf::merged_written`], so a
+    /// source that checks nothing pays nothing. This runs as its own
+    /// simulator event at landing time, so a source that admits work
+    /// against completions sees them in simulated-time order.
+    fn landed(&mut self, _m: usize, _t: Time, _buf: &mut PooledBuf) {}
 
     /// Whether the `trace_*` hooks record anything. The core skips its
     /// per-write DMA trace emission when neither this nor its own
@@ -944,8 +945,8 @@ impl<S: MessageSource> Nic<S> {
         let st = &mut self.msgs[m];
         st.t_complete = Some(t);
         self.tel.instant("spin", "message_complete", m as u64, t);
-        let written = st.host_buf.written().expect(RECORDED);
-        self.src.landed(m, t, &st.host_buf, written);
+        assert!(st.host_buf.written().is_some(), "{RECORDED}");
+        self.src.landed(m, t, &mut st.host_buf);
         if !S::RETAIN {
             st.proc = None;
             st.packets = Vec::new();

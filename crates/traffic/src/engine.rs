@@ -26,7 +26,7 @@ use nca_core::runner::Strategy;
 use nca_ddt::flatten::flatten;
 use nca_ddt::pack::{buffer_span, pack_pattern};
 use nca_ddt::typemap::typemap_verdict;
-use nca_sim::{FaultInjector, FaultSpec, Sim, Time, WireBuf};
+use nca_sim::{FaultInjector, FaultSpec, PooledBuf, Sim, Time, WireBuf};
 use nca_spin::nic::{MessageSource, Nic};
 use nca_spin::params::{NicParams, ReliabilityParams};
 use nca_spin::sched::QueueDiscipline;
@@ -275,10 +275,6 @@ struct Cell {
     jitter_src: FaultInjector,
     epsilon: f64,
     verify: bool,
-    /// A landing's written extents as buffer offsets, for the verdict to
-    /// sort in place; reused so verification allocates nothing per
-    /// message.
-    written: Vec<(i64, u64)>,
     cache: Vec<CachedWorkload>,
     /// `(tenant, mix_idx)` → cache slot.
     mix_slot: Vec<Vec<usize>>,
@@ -310,17 +306,12 @@ impl MessageSource for Cell {
         self.rss.hpu_for(flow_hash(a.tenant, a.flow))
     }
 
-    fn landed(&mut self, m: usize, t: Time, buf: &[u8], written: &[nca_sim::arena::Run]) {
+    fn landed(&mut self, m: usize, t: Time, buf: &mut PooledBuf) {
         let a = &self.admitted[m];
         let c = &self.cache[a.wl];
         if self.verify {
-            self.written.clear();
-            self.written.extend(
-                written
-                    .iter()
-                    .map(|&(at, n)| (c.origin + at as i64, n as u64)),
-            );
-            if !typemap_verdict(buf, c.origin, &mut self.written, &c.runs, &c.packed) {
+            let (bytes, written) = buf.merged_written().expect("the NIC records every write");
+            if !typemap_verdict(bytes, c.origin, written, &c.runs, &c.packed) {
                 self.byte_exact = false;
             }
         }
@@ -505,7 +496,6 @@ pub fn run_traffic_with(cfg: &TrafficConfig, tel: &Telemetry) -> TrafficRunResul
         jitter_src: FaultInjector::new(FaultSpec::inert().with_seed(splitmix64(cfg.seed ^ 0x7261))),
         epsilon: cfg.epsilon,
         verify: cfg.verify,
-        written: Vec::new(),
         cache,
         mix_slot,
         strategies: cfg.tenants.iter().map(|t| t.strategy).collect(),

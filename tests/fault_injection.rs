@@ -5,6 +5,7 @@
 //! wedging.
 
 use ncmt::core::runner::{Experiment, Strategy};
+use ncmt::ddt::pack::{buffer_span, unpack};
 use ncmt::ddt::types::{elem, Datatype, DatatypeExt};
 use ncmt::sim::FaultSpec;
 use ncmt::spin::params::NicParams;
@@ -152,14 +153,29 @@ fn nic_memory_exhaustion_falls_back_to_host_unpack() {
     let mut exp = small_exp();
     exp.params.nic_mem_capacity = 16; // nothing fits
     exp.enforce_nic_capacity = true;
-    let r = exp.run(Strategy::RwCp); // internal verify => byte-exact
+    let r = exp.run(Strategy::RwCp);
     assert!(r.rel.nic_mem_fallback);
+    // The host unpack writes its arena buffer through the recorder, so
+    // the buffer lists its written extents and drop re-zeroes only those.
+    assert!(r.host_buf.written().is_some(), "fallback buffer untracked");
+    let (origin, span) = buffer_span(&exp.dt, exp.count);
+    let mut expect = vec![0u8; span as usize];
+    unpack(
+        &exp.dt,
+        exp.count,
+        &exp.packed_message(),
+        &mut expect,
+        origin,
+    )
+    .expect("unpackable");
+    assert_eq!(r.host_buf, expect, "fallback unpack not byte-exact");
 
     // And the fallback still works on a lossy network.
     exp.faults = lossy(21);
     let r2 = exp.run(Strategy::RwCp);
     assert!(r2.rel.nic_mem_fallback);
     assert!(r2.rel.delivered_exactly_once);
+    assert!(r2.host_buf.written().is_some(), "fallback buffer untracked");
 
     // With capacity restored the normal offloaded path is taken.
     exp.params.nic_mem_capacity = 4 << 20;

@@ -173,23 +173,22 @@ proptest! {
             exp.out_of_order = order;
             exp.faults = faults;
             for s in Recv::ALL {
-                let r = exp.run(s);
-                let buf = &r.host_buf;
-                let written = buf.written().expect("the NIC records every write");
-                let mut covered = vec![false; buf.len()];
+                let mut r = exp.run(s);
+                let written = r.host_buf.written().expect("the NIC records every write");
+                let mut covered = vec![false; r.host_buf.len()];
                 for &(at, n) in written {
                     covered[at..at + n].fill(true);
                 }
                 prop_assert!(
-                    buf.iter().zip(&covered).all(|(&b, &c)| b == 0 || c),
+                    r.host_buf.iter().zip(&covered).all(|(&b, &c)| b == 0 || c),
                     "{}: a nonzero byte outside the recorded extents", s.label()
                 );
-                let mut runs: Vec<(i64, u64)> = written
-                    .iter()
-                    .map(|&(at, n)| (origin + at as i64, n as u64))
-                    .collect();
-                let verdict = typemap_verdict(buf, origin, &mut runs, &reference, &packed);
-                prop_assert_eq!(verdict, *buf == expect, "{}", s.label());
+                // The verdict reads the buffer's own runs, sorted and
+                // merged in place, as traffic's `landed` does; drop then
+                // re-zeroes by them.
+                let (buf, runs) = r.host_buf.merged_written().expect("recorded");
+                let verdict = typemap_verdict(buf, origin, runs, &reference, &packed);
+                prop_assert_eq!(verdict, *buf == expect[..], "{}", s.label());
                 prop_assert!(verdict, "{}: receive not byte-exact", s.label());
                 drop(r);
                 let next = take_zeroed(span as usize);
