@@ -133,7 +133,9 @@ const MAX_SWEEP_CELLS: u128 = 1 << 12;
 
 /// Most streaming time-series buckets one traffic cell may need
 /// (horizon ÷ `telemetry.bucket_ps`): 524× the nightly soak's 2000
-/// (2 ms at the default 1 µs buckets).
+/// (2 ms at the default 1 µs buckets). The sweep itself streams no
+/// trace; this bounds what a caller streaming a cell at that width
+/// allocates.
 const MAX_CELL_BUCKETS: u64 = 1 << 20;
 
 /// Reject a vector or indexed workload whose receive span, bounded

@@ -203,6 +203,10 @@ pub struct RunReport {
     pub dma_bytes: u64,
     /// Maximum DMA queue occupancy.
     pub dma_max_queue: usize,
+    /// Service picoseconds per DMA channel, summed as writes are
+    /// enqueued, traced or not: channel `c` was busy
+    /// `dma_chan_busy_ps[c]` ps of the run.
+    pub dma_chan_busy_ps: Vec<Time>,
     /// DMA queue occupancy series (if recorded).
     pub dma_history: Vec<(Time, usize)>,
     /// Per-handler cost samples (payload handlers, dispatch order).
@@ -298,7 +302,9 @@ pub trait MessageSource: Sized + 'static {
     }
 
     /// A handler of `runtime` starts at `now` on physical HPU `hpu` (a
-    /// real index under dFCFS, 0 under the pooled disciplines).
+    /// real index under dFCFS, 0 under the pooled disciplines). Called
+    /// for every handler, traced or not, so a source may account
+    /// occupancy here.
     fn trace_handler(&mut self, _hpu: usize, _now: Time, _runtime: Time) {}
 
     /// The DMA queue holds `depth` writes after a push or pop at `now`.
@@ -382,12 +388,8 @@ impl<T> Slots<T> {
 /// per-write event.
 #[derive(Default)]
 struct DmaEngine {
-    /// Per-channel service-completion times.
-    free_at: Vec<Time>,
-    /// Per-channel assignment order of the channel's latest write: among
-    /// channels freeing at the same picosecond, the one assigned first
-    /// frees first and takes the next write.
-    order: Vec<u64>,
+    /// Per-channel state (index = channel).
+    chans: Vec<DmaChan>,
     /// Service start of the previous write: the FIFO head cannot start
     /// before it.
     head: Time,
@@ -401,6 +403,19 @@ struct DmaEngine {
     history: Option<Vec<(Time, usize)>>,
     writes: u64,
     bytes: u64,
+}
+
+/// One DMA channel's state.
+#[derive(Clone, Copy, Default)]
+struct DmaChan {
+    /// Service-completion time of its latest write.
+    free_at: Time,
+    /// Assignment order of its latest write: among channels freeing at
+    /// the same picosecond, the one assigned first frees first and
+    /// takes the next write.
+    order: u64,
+    /// Service picoseconds summed over its writes.
+    busy: Time,
 }
 
 /// Parked `handler_done` arguments: `(scheduler key, packet index, hpu,
@@ -459,8 +474,7 @@ impl<S: MessageSource> Nic<S> {
         Nic {
             sched: Scheduler::new(params.discipline, params.hpus),
             dma: DmaEngine {
-                free_at: vec![0; chans],
-                order: vec![0; chans],
+                chans: vec![DmaChan::default(); chans],
                 ..DmaEngine::default()
             },
             params,
@@ -529,6 +543,17 @@ impl<S: MessageSource> Nic<S> {
         sim.run(self);
         let observed = self.dma_observed();
         self.fold_dma_starts(Time::MAX, observed);
+    }
+
+    /// Service picoseconds each DMA channel has been busy so far.
+    pub fn dma_chan_busy_ps(&self) -> Vec<Time> {
+        self.dma.chans.iter().map(|c| c.busy).collect()
+    }
+
+    /// Peak DMA-queue occupancy so far: the high-water mark of the
+    /// depth [`MessageSource::trace_dma_queue`] reports.
+    pub fn dma_max_queue(&self) -> usize {
+        self.dma.max_occ
     }
 
     /// One wire transmission attempt of packet `idx` with nominal
@@ -893,18 +918,20 @@ impl<S: MessageSource> Nic<S> {
         let service = self.params.dma_service_time(w.len);
         let head = now.max(d.head);
         let (chan, start) = if w.event {
-            (0, d.free_at.iter().fold(head, |t, &f| t.max(f)))
-        } else if let Some(c) = d.free_at.iter().position(|&f| f <= head) {
+            (0, d.chans.iter().fold(head, |t, c| t.max(c.free_at)))
+        } else if let Some(c) = d.chans.iter().position(|c| c.free_at <= head) {
             (c, head)
         } else {
-            let c = (0..d.free_at.len())
-                .min_by_key(|&c| (d.free_at[c], d.order[c]))
+            let c = (0..d.chans.len())
+                .min_by_key(|&c| (d.chans[c].free_at, d.chans[c].order))
                 .expect("at least one DMA channel");
-            (c, d.free_at[c])
+            (c, d.chans[c].free_at)
         };
         d.head = start;
-        d.free_at[chan] = start + service;
-        d.order[chan] = d.writes;
+        let c = &mut d.chans[chan];
+        c.free_at = start + service;
+        c.order = d.writes;
+        c.busy += service;
         d.writes += 1;
         d.bytes += w.len;
         d.starts.push_back(start);
@@ -1135,6 +1162,7 @@ impl ReceiveSim {
             dma_writes: nic.dma.writes,
             dma_bytes: nic.dma.bytes,
             dma_max_queue: nic.dma.max_occ,
+            dma_chan_busy_ps: nic.dma_chan_busy_ps(),
             dma_history: nic.dma.history.take().unwrap_or_default(),
             handler_costs: msg.handler_costs,
             nic_mem_bytes: nic_mem,

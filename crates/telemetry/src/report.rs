@@ -125,15 +125,19 @@ pub struct FaultSummary {
     pub catchup_blocks: u64,
 }
 
-/// Utilization block computed by the streaming reducers: where the
-/// simulated hardware spent the run. Unlike [`StrategyReport::attribution`]
-/// (which tiles the end-to-end window once), this is *per resource* —
-/// one busy fraction per vHPU and per DMA channel — so skew across
-/// HPUs/channels is visible, and it comes from bounded-memory folds
-/// rather than retained events.
+/// Utilization block: where the simulated hardware spent the run.
+/// Unlike [`StrategyReport::attribution`] (which tiles the end-to-end
+/// window once), this is *per resource* — one busy fraction per vHPU
+/// and per DMA channel — so skew across HPUs/channels is visible. It is
+/// computed by one formula, [`UtilizationReport::from_busy`], over busy
+/// totals: a strategy report's come from the streaming reducers
+/// ([`UtilizationReport::from_aggregate`]), a traffic cell's from the
+/// engine's own counters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UtilizationReport {
-    /// Time-series bucket width the fractions were folded at (ps).
+    /// Time-series bucket width (ps) of the run's streaming capture. A
+    /// traffic cell records no trace: there it is the configured width,
+    /// and only labels the block.
     pub bucket_ps: Time,
     /// Handler-busy fraction of the end-to-end window, one entry per
     /// vHPU in track order.
@@ -146,17 +150,20 @@ pub struct UtilizationReport {
 }
 
 impl UtilizationReport {
-    /// Compute the block from a streaming aggregate. Busy fractions are
-    /// `busy_total / end_to_end` for the `handler` (per-vHPU) and
-    /// `dma_chan` (per-channel) span series under `component`; the peak
-    /// queue depth is the `dma_queue` gauge high-water mark. The busy
-    /// vector covers at least `min_hpu_tracks` entries so idle vHPUs
-    /// still show up as zeros.
-    pub fn from_aggregate(
-        agg: &StreamAggregate,
-        component: &str,
+    /// Compute the block from busy picoseconds per track (index = track
+    /// id): `hpu_busy` per HPU, `chan_busy` per DMA channel. Each
+    /// fraction is `busy / end_to_end` (0 when `end_to_end` is 0). A
+    /// track is listed up to the last one that was busy at all; idle
+    /// tracks below it read 0, and the HPU list is padded to
+    /// `min_hpu_tracks` entries so idle HPUs still show up as zeros.
+    /// `bucket_ps` only labels the block.
+    pub fn from_busy(
+        bucket_ps: Time,
         end_to_end: Time,
         min_hpu_tracks: u64,
+        hpu_busy: &[Time],
+        chan_busy: &[Time],
+        peak_queue_depth: f64,
     ) -> UtilizationReport {
         let frac = |busy: Time| {
             if end_to_end > 0 {
@@ -165,28 +172,47 @@ impl UtilizationReport {
                 0.0
             }
         };
-        let mut hpu_tracks = min_hpu_tracks;
-        for t in agg.busy_tracks(component, "handler") {
-            hpu_tracks = hpu_tracks.max(t + 1);
-        }
-        let hpu_busy_frac = (0..hpu_tracks)
-            .map(|t| frac(agg.busy_total(component, "handler", t)))
-            .collect();
-        let chans = agg
-            .busy_tracks(component, "dma_chan")
-            .iter()
-            .map(|&t| t + 1)
-            .max()
-            .unwrap_or(0);
-        let dma_chan_occupancy = (0..chans)
-            .map(|t| frac(agg.busy_total(component, "dma_chan", t)))
-            .collect();
+        let listed = |busy: &[Time]| busy.iter().rposition(|&b| b > 0).map_or(0, |t| t + 1);
+        let hpus = listed(hpu_busy).max(min_hpu_tracks as usize);
         UtilizationReport {
-            bucket_ps: agg.bucket_ps(),
-            hpu_busy_frac,
-            peak_queue_depth: agg.gauge_hwm(component, "dma_queue").unwrap_or(0.0),
-            dma_chan_occupancy,
+            bucket_ps,
+            hpu_busy_frac: (0..hpus)
+                .map(|t| frac(hpu_busy.get(t).copied().unwrap_or(0)))
+                .collect(),
+            peak_queue_depth,
+            dma_chan_occupancy: chan_busy[..listed(chan_busy)]
+                .iter()
+                .map(|&b| frac(b))
+                .collect(),
         }
+    }
+
+    /// [`UtilizationReport::from_busy`] over a streaming aggregate: the
+    /// busy totals of the `handler` (per-track) and `dma_chan`
+    /// (per-channel) span series under `component`, and the `dma_queue`
+    /// gauge's high-water mark as the peak queue depth.
+    pub fn from_aggregate(
+        agg: &StreamAggregate,
+        component: &str,
+        end_to_end: Time,
+        min_hpu_tracks: u64,
+    ) -> UtilizationReport {
+        let busy = |name| {
+            let tracks = agg.busy_tracks(component, name);
+            let mut totals = vec![0; tracks.last().map_or(0, |&t| t as usize + 1)];
+            for t in tracks {
+                totals[t as usize] = agg.busy_total(component, name, t);
+            }
+            totals
+        };
+        UtilizationReport::from_busy(
+            agg.bucket_ps(),
+            end_to_end,
+            min_hpu_tracks,
+            &busy("handler"),
+            &busy("dma_chan"),
+            agg.gauge_hwm(component, "dma_queue").unwrap_or(0.0),
+        )
     }
 }
 
@@ -1302,6 +1328,85 @@ mod tests {
                 }),
             }],
         }
+    }
+
+    #[test]
+    fn from_busy_leaves_a_trailing_idle_channel_out() {
+        let u = UtilizationReport::from_busy(1_000, 100, 1, &[10], &[40, 10, 0, 0], 3.0);
+        assert_eq!(u.dma_chan_occupancy, vec![0.4, 0.1]);
+        assert_eq!(u.bucket_ps, 1_000);
+        assert_eq!(u.peak_queue_depth, 3.0);
+        let idle = UtilizationReport::from_busy(1_000, 100, 1, &[10], &[0, 0], 0.0);
+        assert!(idle.dma_chan_occupancy.is_empty());
+    }
+
+    #[test]
+    fn from_busy_reads_an_idle_slot_inside_the_range_as_zero() {
+        let u = UtilizationReport::from_busy(1_000, 100, 0, &[50, 0, 25], &[0, 20], 1.0);
+        assert_eq!(u.hpu_busy_frac, vec![0.5, 0.0, 0.25]);
+        assert_eq!(u.dma_chan_occupancy, vec![0.0, 0.2]);
+    }
+
+    #[test]
+    fn from_busy_pads_the_hpu_list_to_min_hpu_tracks() {
+        let u = UtilizationReport::from_busy(1_000, 100, 4, &[50, 0, 0, 0, 0, 0], &[], 0.0);
+        assert_eq!(u.hpu_busy_frac, vec![0.5, 0.0, 0.0, 0.0]);
+        let none = UtilizationReport::from_busy(1_000, 100, 3, &[], &[], 0.0);
+        assert_eq!(none.hpu_busy_frac, vec![0.0; 3]);
+        // A busy track past the minimum is still listed.
+        let wide = UtilizationReport::from_busy(1_000, 100, 2, &[0, 0, 0, 10], &[], 0.0);
+        assert_eq!(wide.hpu_busy_frac, vec![0.0, 0.0, 0.0, 0.1]);
+    }
+
+    #[test]
+    fn from_busy_gives_zero_fractions_over_an_empty_window() {
+        let u = UtilizationReport::from_busy(1_000, 0, 2, &[5, 7], &[9], 2.0);
+        assert_eq!(u.hpu_busy_frac, vec![0.0, 0.0]);
+        assert_eq!(u.dma_chan_occupancy, vec![0.0]);
+        assert_eq!(u.peak_queue_depth, 2.0);
+    }
+
+    #[test]
+    fn from_aggregate_is_from_busy_over_the_span_totals() {
+        let ev = |name, track, time, kind| crate::TraceEvent {
+            scope: "",
+            component: "traffic",
+            name,
+            track,
+            time,
+            kind,
+        };
+        let span = |end| crate::EventKind::Span { end };
+        let gauge = |value| crate::EventKind::Gauge { value };
+        let mut agg = StreamAggregate::new(1_000);
+        for e in [
+            // Spans crossing bucket edges, an idle slot 1 and a
+            // zero-length span on trailing channel 2.
+            ev("handler", 0, 500, span(2_700)),
+            ev("handler", 2, 900, span(1_100)),
+            ev("handler", 0, 3_000, span(3_400)),
+            ev("dma_chan", 0, 100, span(1_600)),
+            ev("dma_chan", 1, 1_999, span(2_001)),
+            ev("dma_chan", 2, 2_500, span(2_500)),
+            ev("dma_queue", 0, 100, gauge(3.0)),
+            ev("dma_queue", 0, 900, gauge(1.0)),
+        ] {
+            agg.fold(&e);
+        }
+        let want = UtilizationReport::from_busy(
+            1_000,
+            8_000,
+            4,
+            &[2_200 + 400, 0, 200],
+            &[1_500, 2, 0],
+            3.0,
+        );
+        assert_eq!(
+            UtilizationReport::from_aggregate(&agg, "traffic", 8_000, 4),
+            want
+        );
+        assert_eq!(want.hpu_busy_frac, vec![0.325, 0.0, 0.025, 0.0]);
+        assert_eq!(want.dma_chan_occupancy, vec![0.1875, 0.00025]);
     }
 
     #[test]

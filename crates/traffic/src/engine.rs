@@ -171,7 +171,7 @@ pub fn render_schedule(sched: &[ScheduledMsg]) -> String {
 }
 
 /// Per-tenant accounting of one run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantStats {
     /// Tenant label.
     pub name: String,
@@ -209,8 +209,11 @@ impl TenantStats {
     }
 }
 
-/// Outcome of one traffic cell run.
-#[derive(Debug, Clone)]
+/// Outcome of one traffic cell run. The occupancy totals are counted
+/// where the engine schedules handlers and DMA writes, so a run returns
+/// the same result whatever its telemetry handle records; they are what
+/// a cell's utilization block reports.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrafficRunResult {
     /// Per-tenant accounting, in tenant order.
     pub tenants: Vec<TenantStats>,
@@ -219,6 +222,15 @@ pub struct TrafficRunResult {
     pub byte_exact: bool,
     /// Last completion time (ps); at least the horizon.
     pub t_end: Time,
+    /// Handler-busy picoseconds per physical HPU slot (the tracks of
+    /// the `handler` spans).
+    pub hpu_busy_ps: Vec<Time>,
+    /// Service picoseconds per DMA channel (the tracks of the
+    /// `dma_chan` spans).
+    pub dma_chan_busy_ps: Vec<Time>,
+    /// Peak DMA-queue depth (the high-water mark of the `dma_queue`
+    /// gauge).
+    pub dma_max_queue: usize,
 }
 
 /// A workload instantiated once and shared by every message using it.
@@ -282,12 +294,14 @@ struct Cell {
     schedule: Vec<ScheduledMsg>,
     rss: IndirectionTable,
     admitted: Vec<Admitted>,
-    /// When each physical HPU slot frees up, for span attribution.
+    /// When each physical HPU slot frees up, for busy accounting.
     /// Blocked-RR and cFCFS schedule against an anonymous free-HPU
-    /// *count* (their [`Dispatch::hpu`] is always 0), so the busy
-    /// series assigns each handler the lowest slot free at dispatch;
-    /// dFCFS binds real HPU indices and bypasses this.
+    /// *count* (their [`Dispatch::hpu`] is always 0), so each handler
+    /// is charged to the lowest slot free at dispatch; dFCFS binds real
+    /// HPU indices and bypasses this.
     hpu_busy_until: Vec<Time>,
+    /// Handler-busy picoseconds per physical HPU slot.
+    hpu_busy: Vec<Time>,
     link_free: Time,
     inflight_bytes: u64,
     stats: Vec<TenantStats>,
@@ -330,12 +344,9 @@ impl MessageSource for Cell {
     }
 
     fn trace_handler(&mut self, hpu: usize, now: Time, runtime: Time) {
-        if !self.tel.is_enabled() {
-            return;
-        }
-        // Track the span by *physical* HPU — the busy resource the
-        // utilization block reports on (vHPUs are per-message virtual).
-        // dFCFS dispatches carry a real HPU binding; the pool
+        // Charge the handler to a *physical* HPU — the busy resource
+        // the utilization block reports on (vHPUs are per-message
+        // virtual). dFCFS dispatches carry a real HPU binding; the pool
         // disciplines carry `hpu == 0` (anonymous free count), so pick
         // the lowest slot free at dispatch — handlers are
         // non-preemptive with runtime known up front, so slot occupancy
@@ -351,6 +362,7 @@ impl MessageSource for Cell {
             self.hpu_busy_until[s] = now + runtime;
             s
         };
+        self.hpu_busy[slot] += runtime;
         self.tel
             .span("traffic", "handler", slot as u64, now, now + runtime);
     }
@@ -442,7 +454,9 @@ pub fn run_traffic(cfg: &TrafficConfig) -> TrafficRunResult {
 /// gauges, per-tenant admission counters and an end-of-run `latency_ps`
 /// histogram per tenant (track = tenant index). Attach a
 /// `StreamingRecorder` to keep the capture bounded-memory however long
-/// the run is; results are identical to [`run_traffic`] either way.
+/// the run is. The result is identical to [`run_traffic`]'s either way:
+/// its busy totals and peak queue depth are counted by the engine, not
+/// read back from the trace, so the sweep captures nothing.
 pub fn run_traffic_with(cfg: &TrafficConfig, tel: &Telemetry) -> TrafficRunResult {
     assert!(!cfg.tenants.is_empty(), "at least one tenant");
     // Instantiate each distinct workload once, shared across tenants.
@@ -503,6 +517,7 @@ pub fn run_traffic_with(cfg: &TrafficConfig, tel: &Telemetry) -> TrafficRunResul
         rss: IndirectionTable::new(cfg.rss_entries, cfg.params.hpus),
         admitted: Vec::new(),
         hpu_busy_until: vec![0; cfg.params.hpus.max(1)],
+        hpu_busy: vec![0; cfg.params.hpus.max(1)],
         link_free: 0,
         inflight_bytes: 0,
         stats,
@@ -518,6 +533,8 @@ pub fn run_traffic_with(cfg: &TrafficConfig, tel: &Telemetry) -> TrafficRunResul
         sim.schedule_call(m.arrival_ps, ev_offer, i as u64, 0);
     }
     nic.run(&mut sim);
+    let dma_chan_busy_ps = nic.dma_chan_busy_ps();
+    let dma_max_queue = nic.dma_max_queue();
     let world = nic.src;
     debug_assert_eq!(world.inflight_bytes, 0, "all admitted work must drain");
     for (t, st) in world.stats.iter().enumerate() {
@@ -529,6 +546,9 @@ pub fn run_traffic_with(cfg: &TrafficConfig, tel: &Telemetry) -> TrafficRunResul
         tenants: world.stats,
         byte_exact: world.byte_exact,
         t_end: world.t_end,
+        hpu_busy_ps: world.hpu_busy,
+        dma_chan_busy_ps,
+        dma_max_queue,
     }
 }
 

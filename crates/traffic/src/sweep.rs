@@ -7,6 +7,15 @@
 //! schedule is the *same* across disciplines, so a p99 difference
 //! between blocked-RR, cFCFS and dFCFS is attributable to scheduling
 //! alone.
+//!
+//! Cells run with telemetry off. Each cell's utilization block comes
+//! from the busy totals and peak DMA-queue depth the engine counts as
+//! it schedules handlers and DMA writes ([`TrafficRunResult`]), so the
+//! sweep builds no recorder and folds no event stream. A caller that
+//! wants the `traffic` trace passes its own handle to
+//! [`run_traffic_with`](crate::engine::run_traffic_with); folding that
+//! stream with [`UtilizationReport::from_aggregate`] gives the same
+//! block.
 
 use nca_core::runner::Strategy;
 use nca_sim::units::throughput_gbit;
@@ -16,14 +25,10 @@ use nca_spin::sched::QueueDiscipline;
 use nca_telemetry::report::{
     HistSummary, TenantTrafficReport, TrafficCell, TrafficDoc, UtilizationReport,
 };
-use nca_telemetry::{Recorder, StreamingRecorder, Telemetry};
 use nca_workloads::apps::{self, AppWorkload};
-use std::sync::Arc;
 
 use crate::arrival::ArrivalProcess;
-use crate::engine::{
-    mean_mix_wire_ps, run_traffic_with, TenantSpec, TrafficConfig, TrafficRunResult,
-};
+use crate::engine::{mean_mix_wire_ps, run_traffic, TenantSpec, TrafficConfig, TrafficRunResult};
 
 /// Which arrival process the sweep's tenants use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,9 +124,11 @@ pub struct TrafficSweepSpec {
     /// Override the NIC packet-buffer budget (admission-control knob);
     /// `None` keeps the [`NicParams`] default.
     pub pkt_buffer_bytes: Option<u64>,
-    /// Time-series bucket width of the per-cell streaming capture (ps).
-    /// Memory per cell is O(t_end / bucket), independent of message
-    /// count.
+    /// Time-series bucket width (ps): the artifact's
+    /// `utilization.bucket_ps` label, and the width a caller streaming
+    /// a cell's trace folds at (memory O(t_end / bucket) per cell,
+    /// independent of message count). The sweep itself streams
+    /// nothing.
     pub stream_bucket_ps: Time,
 }
 
@@ -175,7 +182,8 @@ impl TrafficSweepSpec {
     }
 }
 
-/// Summarize one run as a report cell.
+/// Summarize one run as a report cell, with `utilization` left for the
+/// caller to fill.
 pub fn cell_report(
     app: &str,
     discipline: QueueDiscipline,
@@ -222,18 +230,15 @@ pub fn traffic_sweep(spec: &TrafficSweepSpec, pool: &Pool) -> TrafficDoc {
         }
     }
     let cells = pool.par_map(grid, |_, (app, load, d)| {
-        // Each cell streams into its own bounded aggregate — the sweep
-        // never retains raw events, so memory is flat over the horizon.
-        let rec = Arc::new(StreamingRecorder::new(spec.stream_bucket_ps));
-        let tel = Telemetry::with_recorder(rec.clone() as Arc<dyn Recorder>);
-        let r = run_traffic_with(&spec.cell_config(&app, load, d), &tel);
-        let agg = rec.take();
+        let r = run_traffic(&spec.cell_config(&app, load, d));
         let mut cell = cell_report(&app, d, load, &r);
-        cell.utilization = Some(UtilizationReport::from_aggregate(
-            &agg,
-            "traffic",
+        cell.utilization = Some(UtilizationReport::from_busy(
+            spec.stream_bucket_ps,
             r.t_end,
             spec.hpus as u64,
+            &r.hpu_busy_ps,
+            &r.dma_chan_busy_ps,
+            r.dma_max_queue as f64,
         ));
         cell
     });

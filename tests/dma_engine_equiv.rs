@@ -6,12 +6,15 @@
 //! Each case must match the golden four ways, because observation must
 //! never change what runs:
 //! - telemetry off: times, counters, landed bytes, reliability and
-//!   recovery counts;
+//!   recovery counts, and the engine's own per-channel busy
+//!   picoseconds (`RunReport::dma_chan_busy_ps`);
 //! - ring capture: the same, plus per-channel write counts and busy
 //!   picoseconds from the `spin/dma_chan` spans;
-//! - streaming capture: the same scalars, plus per-channel busy
-//!   picoseconds from the aggregate's busy series;
-//! - history recording: the same scalars, plus the occupancy series.
+//! - streaming capture: the same, plus per-channel busy picoseconds
+//!   from the aggregate's busy series;
+//! - history recording: the same, plus the occupancy series.
+//!
+//! The fault half also runs a ring far too small for the trace.
 //!
 //! The cases: three lossless datatypes spanning γ regimes (fine blocks
 //! with a DMA backlog, wide service-bound blocks, a multi-count message)
@@ -148,6 +151,14 @@ fn scalars(r: &RunReport) -> Vec<(&'static str, String)> {
     ]
 }
 
+/// The engine's per-channel busy picoseconds, listed as the golden
+/// lists channels: up to the last one that served a write.
+fn engine_busy(r: &RunReport) -> Vec<(&'static str, String)> {
+    let busy = &r.dma_chan_busy_ps;
+    let listed = busy.iter().rposition(|&b| b > 0).map_or(0, |c| c + 1);
+    vec![("chan_busy_ps", array(&busy[..listed]))]
+}
+
 fn history(r: &RunReport) -> Vec<(&'static str, String)> {
     let bytes = r
         .dma_history
@@ -244,7 +255,9 @@ fn check_against_golden(faulty: bool) {
 
         let off = c.exp.run(c.strategy);
         assert!(off.dma_history.is_empty());
-        assert_matches(g, &scalars(&off), &format!("{}, telemetry off", c.name));
+        let what = format!("{}, telemetry off", c.name);
+        assert_matches(g, &scalars(&off), &what);
+        assert_matches(g, &engine_busy(&off), &what);
 
         let mut ring_exp = c.exp.clone();
         let (tel, ring) = Telemetry::ring(1 << 22);
@@ -253,6 +266,7 @@ fn check_against_golden(faulty: bool) {
         assert_eq!(ring.dropped(), 0);
         let what = format!("{}, ring capture", c.name);
         assert_matches(g, &scalars(&traced), &what);
+        assert_matches(g, &engine_busy(&traced), &what);
         assert_matches(g, &channels(&ring.events()), &what);
 
         let mut stream_exp = c.exp.clone();
@@ -267,6 +281,7 @@ fn check_against_golden(faulty: bool) {
             .collect();
         let what = format!("{}, streaming capture", c.name);
         assert_matches(g, &scalars(&streamed), &what);
+        assert_matches(g, &engine_busy(&streamed), &what);
         assert_matches(g, &[("chan_busy_ps", array(&busy))], &what);
         let writes = g
             .get("chan_writes")
@@ -281,6 +296,7 @@ fn check_against_golden(faulty: bool) {
         let recorded = hist_exp.run(c.strategy);
         let what = format!("{}, history recording", c.name);
         assert_matches(g, &scalars(&recorded), &what);
+        assert_matches(g, &engine_busy(&recorded), &what);
         assert_matches(g, &history(&recorded), &what);
 
         if faulty {
@@ -291,7 +307,9 @@ fn check_against_golden(faulty: bool) {
             small.telemetry = tel;
             let r = small.run(c.strategy);
             assert!(ring.dropped() > 0, "{}: the ring must overflow", c.name);
-            assert_matches(g, &scalars(&r), &format!("{}, overflowing ring", c.name));
+            let what = format!("{}, overflowing ring", c.name);
+            assert_matches(g, &scalars(&r), &what);
+            assert_matches(g, &engine_busy(&r), &what);
         }
     }
     assert!(checked > 0);

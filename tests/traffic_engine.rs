@@ -2,12 +2,24 @@
 //! facade, plus the golden gate for the committed `ncmt-traffic`
 //! artifact: the baseline in `tests/golden/traffic_baseline.json` must
 //! reproduce byte-for-byte on any host at any worker count.
+//!
+//! A cell's utilization block comes from the busy totals the engine
+//! counts as it schedules; the equivalence tests pin them to the
+//! `traffic` trace the same run emits, over every discipline and three
+//! strategies, at light load and under admission overload.
+
+use std::sync::Arc;
 
 use ncmt::core::runner::Strategy;
 use ncmt::sim::Pool;
 use ncmt::spin::sched::QueueDiscipline;
-use ncmt::telemetry::report::{Json, TrafficDoc};
-use ncmt::traffic::{run_traffic, traffic_sweep, ArrivalKind, TenantStats, TrafficSweepSpec};
+use ncmt::telemetry::report::{Json, TrafficDoc, UtilizationReport};
+use ncmt::telemetry::{StreamingRecorder, Telemetry};
+use ncmt::traffic::sweep::cell_report;
+use ncmt::traffic::{
+    run_traffic, run_traffic_with, traffic_sweep, ArrivalKind, TenantStats, TrafficRunResult,
+    TrafficSweepSpec,
+};
 
 /// The spec behind `tests/golden/traffic_baseline.json`. Regenerate
 /// with the command in the golden test's failure message.
@@ -164,4 +176,126 @@ fn run_traffic_exposes_per_tenant_stats_directly() {
     assert!(total > 0);
     assert!(r.byte_exact);
     assert!(r.t_end >= cfg.horizon_ps);
+}
+
+/// The equivalence grid's spec for `strategy`: the golden's shape, and
+/// under `overload` a 4 KiB packet buffer that admission overruns.
+fn equivalence_spec(strategy: Strategy, overload: bool) -> TrafficSweepSpec {
+    let mut s = golden_spec();
+    s.apps = vec!["COMB/b".into()];
+    s.strategy = strategy;
+    s.horizon_ps = ncmt::sim::us(60);
+    if overload {
+        s.loads = vec![3.0];
+        s.pkt_buffer_bytes = Some(4 << 10);
+    } else {
+        s.loads = vec![0.4];
+    }
+    s
+}
+
+/// Every discipline × {RW-CP, Specialized, HPU-local} × {light load,
+/// overload}, as `(label, spec, load, discipline)`.
+fn equivalence_grid() -> Vec<(String, TrafficSweepSpec, f64, QueueDiscipline)> {
+    let mut out = Vec::new();
+    for d in QueueDiscipline::ALL {
+        for strategy in [Strategy::RwCp, Strategy::Specialized, Strategy::HpuLocal] {
+            for overload in [false, true] {
+                let spec = equivalence_spec(strategy, overload);
+                let load = spec.loads[0];
+                let label = format!("{} {} load {load}", d.label(), strategy.label());
+                out.push((label, spec, load, d));
+            }
+        }
+    }
+    out
+}
+
+/// The block [`traffic_sweep`] builds from a run's own totals.
+fn block_from_run(spec: &TrafficSweepSpec, r: &TrafficRunResult) -> UtilizationReport {
+    UtilizationReport::from_busy(
+        spec.stream_bucket_ps,
+        r.t_end,
+        spec.hpus as u64,
+        &r.hpu_busy_ps,
+        &r.dma_chan_busy_ps,
+        r.dma_max_queue as f64,
+    )
+}
+
+#[test]
+fn engine_totals_do_not_depend_on_the_trace() {
+    for (label, spec, load, d) in equivalence_grid() {
+        let cfg = spec.cell_config("COMB/b", load, d);
+        let off = run_traffic(&cfg);
+        let rec = Arc::new(StreamingRecorder::new(spec.stream_bucket_ps));
+        let streamed = run_traffic_with(&cfg, &Telemetry::with_recorder(rec.clone()));
+        assert_eq!(off, streamed, "{label}: tracing changed the run");
+        assert!(off.byte_exact, "{label}");
+        assert_eq!(off.hpu_busy_ps.len(), spec.hpus, "{label}");
+        assert!(
+            off.hpu_busy_ps.iter().any(|&b| b > 0),
+            "{label}: no handler ran"
+        );
+        assert!(
+            off.dma_chan_busy_ps.iter().any(|&b| b > 0),
+            "{label}: no DMA write"
+        );
+        assert!(off.dma_max_queue > 0, "{label}");
+        if spec.pkt_buffer_bytes.is_some() {
+            let dropped: u64 = off.tenants.iter().map(|t| t.dropped).sum();
+            assert!(dropped > 0, "{label}: admission must reject");
+        }
+        assert_eq!(
+            block_from_run(&spec, &off),
+            UtilizationReport::from_aggregate(&rec.take(), "traffic", off.t_end, spec.hpus as u64),
+            "{label}: the engine's totals disagree with its trace"
+        );
+    }
+}
+
+/// The reference assembly of a sweep: each cell streams its `traffic`
+/// trace, and its utilization block is folded from that stream.
+fn streamed_sweep(spec: &TrafficSweepSpec) -> TrafficDoc {
+    let mut cells = Vec::new();
+    for app in &spec.apps {
+        for &load in &spec.loads {
+            for &d in &spec.disciplines {
+                let rec = Arc::new(StreamingRecorder::new(spec.stream_bucket_ps));
+                let tel = Telemetry::with_recorder(rec.clone());
+                let r = run_traffic_with(&spec.cell_config(app, load, d), &tel);
+                let mut cell = cell_report(app, d, load, &r);
+                cell.utilization = Some(UtilizationReport::from_aggregate(
+                    &rec.take(),
+                    "traffic",
+                    r.t_end,
+                    spec.hpus as u64,
+                ));
+                cells.push(cell);
+            }
+        }
+    }
+    TrafficDoc {
+        version: TrafficDoc::VERSION,
+        seed: spec.seed,
+        hpus: spec.hpus as u64,
+        strategy: spec.strategy.label().to_string(),
+        arrival: spec.arrival.label().to_string(),
+        horizon_ps: spec.horizon_ps,
+        cells,
+    }
+}
+
+#[test]
+fn sweep_equals_the_streamed_assembly_at_any_worker_count() {
+    let mut overload = equivalence_spec(Strategy::HpuLocal, true);
+    overload.arrival = ArrivalKind::LogNormal;
+    overload.stream_bucket_ps = 333;
+    let mut light = equivalence_spec(Strategy::Specialized, false);
+    light.apps.push("NAS-MG/a".into());
+    for spec in [golden_spec(), light, overload] {
+        let want = streamed_sweep(&spec).to_json();
+        assert_eq!(traffic_sweep(&spec, &Pool::serial()).to_json(), want);
+        assert_eq!(traffic_sweep(&spec, &Pool::new(4)).to_json(), want);
+    }
 }
