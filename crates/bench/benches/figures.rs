@@ -23,7 +23,10 @@ fn figures(c: &mut Criterion) {
         b.iter(|| f::fig13::throughput_vs_hpus(true))
     });
     g.bench_function("fig14_dma_queue", |b| b.iter(|| f::fig14::rows(true)));
-    g.bench_function("fig16_applications", |b| b.iter(|| f::fig16::rows(true)));
+    let pool = nca_sim::Pool::from_env(None);
+    g.bench_function("fig16", |b| {
+        b.iter(|| nca_scenario::fig16::rows_filtered(Some(512), &pool))
+    });
     g.bench_function("fig17_memory_traffic", |b| b.iter(|| f::fig17::rows(true)));
     g.bench_function("fig18_amortization", |b| b.iter(|| f::fig18::rows(true)));
     g.bench_function("fig19_fft2d", |b| b.iter(|| f::fig19::rows(true)));

@@ -151,7 +151,8 @@ flags:
 
 exit status follows the scenario's own verification (e.g. 1 when a
 fault-sweep cell is not byte-exact exactly-once); 2 on a bad argument,
-a scenario the parser or compiler rejects, or an unwritable path."
+a scenario the parser or compiler rejects, a trace whose
+telemetry.bucket_ps is too fine for its run, or an unwritable path."
     );
     std::process::exit(0)
 }
@@ -295,6 +296,9 @@ fn print_profile(doc: &ProfileDoc) {
 /// Print the run's table, write any requested artifacts, print the
 /// verdict and the profile, and exit with the run's status.
 fn emit(out: Outcome, a: &RunArgs, profile: Option<ProfileDoc>) -> ! {
+    if let Some(e) = &out.refused {
+        die(e);
+    }
     let write = |path: &str, text: &str| {
         std::fs::write(path, text).unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")))
     };

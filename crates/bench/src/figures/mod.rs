@@ -12,7 +12,6 @@ pub mod fig12;
 pub mod fig13;
 pub mod fig14;
 pub mod fig15;
-pub mod fig16;
 pub mod fig17;
 pub mod fig18;
 pub mod fig19;

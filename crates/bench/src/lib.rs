@@ -1,8 +1,9 @@
 //! # nca-bench — figure harnesses
 //!
 //! One module (and one binary under `src/bin/`) per figure of the
-//! paper's evaluation; each recomputes the series the figure plots and
-//! prints a TSV table. Pass `--quick` (or set `NCA_QUICK=1`) for a
+//! paper's evaluation, except Fig. 16, which runs as the `fig16`
+//! scenario; each recomputes the series the figure plots and prints a
+//! TSV table. Pass `--quick` (or set `NCA_QUICK=1`) for a
 //! reduced-size run used by the smoke tests and Criterion benches.
 //!
 //! | Figure | Module | Binary |
@@ -17,7 +18,7 @@
 //! | Fig. 13 | [`figures::fig13`] | `fig13_scalability` |
 //! | Fig. 14 | [`figures::fig14`] | `fig14_dma_queue` |
 //! | Fig. 15 | [`figures::fig15`] | `fig15_dma_timeline` |
-//! | Fig. 16 | [`figures::fig16`] | `fig16_applications` |
+//! | Fig. 16 | `nca_scenario::fig16` | `ncmt_cli run scenarios/fig16.json` |
 //! | Fig. 17 | [`figures::fig17`] | `fig17_memory_traffic` |
 //! | Fig. 18 | [`figures::fig18`] | `fig18_amortization` |
 //! | Fig. 19 | [`figures::fig19`] | `fig19_fft2d_scaling` |

@@ -197,6 +197,38 @@ fn run_rejects_bad_input_with_exit_2() {
     }
 }
 
+/// A 100 KB document of 50,000 nested arrays under an unknown key once
+/// overflowed the main thread's stack (exit 134) in every subcommand
+/// that parses JSON. The parser now refuses it at a bounded depth.
+#[test]
+fn deeply_nested_json_exits_2_in_every_parsing_subcommand() {
+    let path = tmp_path("deep.json");
+    let deep = format!(
+        r#"{{"name": "deep", "version": 1, "kind": "strategy-run", "zz": {}{}}}"#,
+        "[".repeat(50_000),
+        "]".repeat(50_000)
+    );
+    std::fs::write(&path, deep).unwrap();
+    let file = path.to_str().expect("utf-8 path");
+    for args in [
+        vec!["run", file],
+        vec!["report-diff", file, file],
+        vec!["bench-diff", file, file],
+    ] {
+        let out = Command::new(CLI)
+            .args(&args)
+            .output()
+            .expect("run ncmt_cli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("nesting deeper than 256 levels at byte"),
+            "{args:?}: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn report_diff_of_a_report_with_itself_exits_zero() {
     let path = tmp_path("self.json");

@@ -1,20 +1,22 @@
 //! Fills a [`nca_telemetry::report::RunReportDoc`] from an experiment:
 //! the glue between the NIC model (this crate) and the generic report
 //! schema (`nca-telemetry`). One [`strategy_report`] call turns a
-//! [`ModeledRun`] plus its captured trace into the measured +
-//! model-validated block `ncmt_cli --report-out` serializes.
+//! [`ModeledRun`] into the measured + model-validated block `ncmt_cli
+//! --report-out` serializes. Every field but the latency attribution
+//! comes from the counters the run itself keeps; only the attribution
+//! reads the captured trace.
 
-use nca_telemetry::aggregate::{gauge_series, merged_hist, rollup};
 use nca_telemetry::flight;
 use nca_telemetry::report::{
     FaultSummary, HistSummary, ModelValidation, ReportConfig, StrategyReport, UtilizationReport,
 };
-use nca_telemetry::{StreamAggregate, Time, TraceEvent};
+use nca_telemetry::{Time, TraceEvent};
 
 use crate::runner::{Experiment, ModeledRun};
 
-/// Default time-series bucket width for the report utilization block
-/// (1 µs of simulated time per bucket).
+/// The `bucket_ps` a strategy report's utilization block states, and the
+/// default time-series bucket width of a strategy-run trace's counter
+/// tracks (1 µs of simulated time per bucket).
 pub const UTILIZATION_BUCKET_PS: Time = 1_000_000;
 
 /// The workload/pipeline configuration block for `exp`.
@@ -32,10 +34,13 @@ pub fn report_config(exp: &Experiment) -> ReportConfig {
     }
 }
 
-/// Build the report entry for one strategy run from the events its
-/// trace captured. `scope` selects this run's events when several
-/// strategies share one ring (see [`nca_telemetry::Telemetry::scoped`]);
-/// pass `""` for an unscoped capture.
+/// Build the report entry for one strategy run. Busy time, the
+/// utilization block, the NIC-memory peak, the latency histograms and
+/// the observed scheduling overhead come from `run.report`; `events`
+/// feed only the attribution. `scope` selects this run's events when
+/// several strategies share one ring (see
+/// [`nca_telemetry::Telemetry::scoped`]); pass `""` for an unscoped
+/// capture.
 pub fn strategy_report(
     exp: &Experiment,
     run: &ModeledRun,
@@ -52,20 +57,12 @@ pub fn strategy_report(
 
     let attribution = flight::attribute(&evs, r.t_first_byte, r.t_complete);
 
-    let comps = rollup(&evs);
-    let spin = comps.get("spin");
-    let histograms = spin
-        .map(|c| {
-            c.hists
-                .iter()
-                .map(|(name, h)| (name.clone(), HistSummary::of(h)))
-                .collect()
-        })
-        .unwrap_or_default();
-    let hpu_busy_ps = spin
-        .and_then(|c| c.spans.get("handler"))
-        .map(|&(_, total)| total)
-        .unwrap_or(0);
+    let histograms = r
+        .histograms
+        .iter()
+        .map(|(name, h)| (name.to_string(), HistSummary::of(h)))
+        .collect();
+    let hpu_busy_ps: Time = r.hpu_busy_ps.iter().sum();
     let hpus = exp.params.hpus as u64;
     let hpu_utilization = if end_to_end > 0 {
         hpu_busy_ps as f64 / (hpus * end_to_end) as f64
@@ -73,22 +70,15 @@ pub fn strategy_report(
         0.0
     };
 
-    // The gauge tracks footprint plus resident payload bytes, so its
-    // maximum is the high-water mark; the run report carries the same
-    // peak even when the trace was disabled or evicted.
-    let nic_mem_hwm_bytes = gauge_series(&evs, "spin", "nic_mem_bytes")
-        .iter()
-        .map(|&(_, v)| v as u64)
-        .max()
-        .unwrap_or(0)
-        .max(r.nic_mem_hwm_bytes);
-
     let model = run.plan.map(|plan| {
         let npkt = r.npkt.max(1);
         let sched_budget_ps =
             (exp.epsilon * npkt.div_ceil(hpus.max(1)) as f64 * run.t_ph_predicted as f64) as u64;
-        let sched_overhead_ps = merged_hist(&evs, "spin", "queue_wait_ps")
-            .and_then(|h| h.max())
+        let sched_overhead_ps = r
+            .histograms
+            .iter()
+            .find(|(name, _)| *name == "queue_wait_ps")
+            .and_then(|(_, h)| h.max())
             .unwrap_or(0);
         ModelValidation {
             delta_r: plan.delta_r,
@@ -105,19 +95,14 @@ pub fn strategy_report(
         }
     });
 
-    let faults = fault_summary(run, &evs);
-
-    // Utilization from the streaming reducers: fold this run's events
-    // into a bounded aggregate (callers that streamed during the run
-    // get the identical block — the fold is deterministic in event
-    // order). The gauge peak can lag the pipeline's own counter when
-    // the trace was evicted, so take the max of both views.
-    let mut agg = StreamAggregate::new(UTILIZATION_BUCKET_PS);
-    for ev in &evs {
-        agg.fold(ev);
-    }
-    let mut utilization = UtilizationReport::from_aggregate(&agg, "spin", end_to_end, hpus);
-    utilization.peak_queue_depth = utilization.peak_queue_depth.max(r.dma_max_queue as f64);
+    let utilization = UtilizationReport::from_busy(
+        UTILIZATION_BUCKET_PS,
+        end_to_end,
+        hpus,
+        &r.hpu_busy_ps,
+        &r.dma_chan_busy_ps,
+        r.dma_max_queue as f64,
+    );
 
     let mut out = StrategyReport {
         name: r.strategy.to_string(),
@@ -125,7 +110,7 @@ pub fn strategy_report(
         host_setup_ps: r.host_setup_time,
         throughput_gbit: r.throughput_gbit(),
         nic_mem_bytes: r.nic_mem_bytes,
-        nic_mem_hwm_bytes,
+        nic_mem_hwm_bytes: r.nic_mem_hwm_bytes,
         dma_writes: r.dma_writes,
         dma_bytes: r.dma_bytes,
         dma_max_queue: r.dma_max_queue as u64,
@@ -135,7 +120,7 @@ pub fn strategy_report(
         histograms,
         utilization: Some(utilization),
         model,
-        faults,
+        faults: fault_summary(run, &evs),
     };
     out.set_attribution(&attribution);
     out
@@ -201,32 +186,37 @@ mod tests {
 
     #[test]
     fn utilization_block_matches_the_trace() {
-        let (exp, sink) = traced_experiment();
-        let run = exp.run_modeled(Strategy::RwCp);
-        let events = sink.events();
-        let rep = strategy_report(&exp, &run, &events, "");
-        let u = rep.utilization.expect("utilization is always filled");
-        assert_eq!(u.bucket_ps, UTILIZATION_BUCKET_PS);
-        assert!(
-            u.hpu_busy_frac.len() >= 16,
-            "at least one entry per physical HPU, got {}",
-            u.hpu_busy_frac.len()
-        );
-        let busy_sum: f64 = u.hpu_busy_frac.iter().sum();
-        // Per-vHPU fractions must re-sum to the scalar utilization the
-        // retained-event path computed over the 16 physical HPUs.
-        let scalar = busy_sum / 16.0;
-        assert!(
-            (scalar - rep.hpu_utilization).abs() < 1e-9,
-            "streamed {scalar} vs retained {}",
-            rep.hpu_utilization
-        );
-        assert!(u.peak_queue_depth >= rep.dma_max_queue as f64);
-        assert!(!u.dma_chan_occupancy.is_empty(), "DMA channels were busy");
-        assert!(u
-            .dma_chan_occupancy
-            .iter()
-            .all(|&f| (0.0..=1.0).contains(&f)));
+        // The report reads the run's counters; a lossless trace of the
+        // same run folds to the same busy time, utilization block,
+        // histograms and NIC-memory peak.
+        for s in Strategy::ALL {
+            let (exp, sink) = traced_experiment();
+            let run = exp.run_modeled(s);
+            let events = sink.events();
+            let rep = strategy_report(&exp, &run, &events, "");
+            let mut agg = nca_telemetry::StreamAggregate::new(UTILIZATION_BUCKET_PS);
+            for ev in &events {
+                agg.fold(ev);
+            }
+            let traced = UtilizationReport::from_aggregate(&agg, "spin", rep.end_to_end_ps, 16);
+            assert_eq!(rep.utilization.as_ref(), Some(&traced), "{}", s.label());
+            assert!(traced.hpu_busy_frac.len() >= 16, "{}", s.label());
+            assert!(!traced.dma_chan_occupancy.is_empty(), "{}", s.label());
+            let busy = agg.span_total("spin", "handler").map(|(_, t)| t);
+            assert_eq!(busy, Some(rep.hpu_busy_ps), "{}", s.label());
+            let hists: std::collections::BTreeMap<String, HistSummary> = agg.rollups()["spin"]
+                .hists
+                .iter()
+                .map(|(name, h)| (name.clone(), HistSummary::of(h)))
+                .collect();
+            assert_eq!(rep.histograms, hists, "{}", s.label());
+            assert_eq!(
+                agg.gauge_hwm("spin", "nic_mem_bytes"),
+                Some(rep.nic_mem_hwm_bytes as f64),
+                "{}",
+                s.label()
+            );
+        }
     }
 
     #[test]

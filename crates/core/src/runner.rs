@@ -12,10 +12,7 @@ use nca_spin::nic::{EngineMode, ReceiveSim, RunConfig, RunReport};
 use nca_spin::params::{NicParams, ReliabilityParams};
 use std::sync::Arc;
 
-use nca_telemetry::{
-    merge_ring_events, Recorder, RingRecorder, StreamAggregate, StreamingRecorder, TeeRecorder,
-    Telemetry, TraceEvent,
-};
+use nca_telemetry::{merge_ring_events, RingRecorder, Telemetry, TraceEvent};
 
 use crate::baselines::{host_unpack, iovec_offload, BaselineReport};
 use crate::costmodel::{HandlerCycles, HostCostModel};
@@ -115,22 +112,6 @@ pub struct StrategySweep {
     pub events: Vec<TraceEvent>,
     /// Events evicted by ring pressure (per-job + merge-time).
     pub dropped: u64,
-    /// Per-strategy streaming aggregates, [`Strategy::ALL`] order
-    /// (empty unless [`CaptureSpec::stream_bucket_ps`] was set). Unlike
-    /// [`StrategySweep::events`], these are bounded-memory however long
-    /// the runs were.
-    pub aggregates: Vec<(Strategy, StreamAggregate)>,
-}
-
-/// What [`Experiment::run_all_captured`] records per job.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CaptureSpec {
-    /// Retain raw events in a private per-job ring of this capacity
-    /// (for trace export and flight attribution).
-    pub ring_capacity: Option<usize>,
-    /// Fold events into a per-job [`StreamAggregate`] with this
-    /// time-series bucket width (ps).
-    pub stream_bucket_ps: Option<Time>,
 }
 
 /// One experiment configuration.
@@ -305,62 +286,18 @@ impl Experiment {
     /// telemetry handle unchanged (typically disabled) and no events
     /// are returned.
     pub fn run_all_modeled(&self, pool: &Pool, ring_capacity: Option<usize>) -> StrategySweep {
-        self.run_all_captured(
-            pool,
-            CaptureSpec {
-                ring_capacity,
-                stream_bucket_ps: None,
-            },
-        )
-    }
-
-    /// [`run_all_modeled`](Self::run_all_modeled) with explicit capture
-    /// plumbing: a per-job ring (raw events, merged in `Strategy::ALL`
-    /// order) and/or a per-job [`StreamAggregate`] (bounded-memory
-    /// reducers). When both are requested one tee feeds them the same
-    /// event stream. Each job starts at a gauge high-water-mark
-    /// boundary ([`StreamingRecorder::begin_job`]), so per-job HWMs
-    /// (e.g. `nic_mem_hwm_bytes`) never leak across jobs.
-    pub fn run_all_captured(&self, pool: &Pool, capture: CaptureSpec) -> StrategySweep {
         let out = pool.par_map(Strategy::ALL.to_vec(), |_, s| {
             let mut exp = self.clone();
-            let ring = capture
-                .ring_capacity
-                .map(|cap| Arc::new(RingRecorder::new(cap)));
-            let stream = capture
-                .stream_bucket_ps
-                .map(|b| Arc::new(StreamingRecorder::new(b)));
-            let recorder: Option<Arc<dyn Recorder>> = match (&ring, &stream) {
-                (Some(r), Some(st)) => Some(Arc::new(TeeRecorder::new(
-                    r.clone() as Arc<dyn Recorder>,
-                    st.clone() as Arc<dyn Recorder>,
-                ))),
-                (Some(r), None) => Some(r.clone() as Arc<dyn Recorder>),
-                (None, Some(st)) => Some(st.clone() as Arc<dyn Recorder>),
-                (None, None) => None,
-            };
-            if let Some(rec) = recorder {
-                exp.telemetry = Telemetry::with_recorder(rec).scoped(s.label());
-            }
-            if let Some(st) = &stream {
-                st.begin_job();
+            let ring = ring_capacity.map(|cap| Arc::new(RingRecorder::new(cap)));
+            if let Some(r) = &ring {
+                exp.telemetry = Telemetry::with_recorder(r.clone()).scoped(s.label());
             }
             let run = exp.run_modeled(s);
-            let ring_capture = ring.map(|k| (k.events(), k.dropped())).unwrap_or_default();
-            let agg = stream.map(|st| st.take());
-            (s, run, ring_capture, agg)
+            let capture = ring.map(|r| (r.events(), r.dropped())).unwrap_or_default();
+            ((s, run), capture)
         });
-        let mut runs = Vec::with_capacity(out.len());
-        let mut per_job = Vec::with_capacity(out.len());
-        let mut aggregates = Vec::new();
-        for (s, run, ring_capture, agg) in out {
-            runs.push((s, run));
-            per_job.push(ring_capture);
-            if let Some(a) = agg {
-                aggregates.push((s, a));
-            }
-        }
-        let (events, dropped) = match capture.ring_capacity {
+        let (runs, per_job): (Vec<_>, Vec<_>) = out.into_iter().unzip();
+        let (events, dropped) = match ring_capacity {
             Some(cap) => merge_ring_events(per_job, cap),
             None => (Vec::new(), 0),
         };
@@ -368,7 +305,6 @@ impl Experiment {
             runs,
             events,
             dropped,
-            aggregates,
         }
     }
 

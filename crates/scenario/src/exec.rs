@@ -6,19 +6,22 @@
 //! rejects, with a path-qualified error, inputs a run could not finish:
 //! receive spans over 1 GiB, more than 1024 tenants, more than 2^16
 //! RSS slots, a horizon past the 64-bit picosecond clock, and traffic
-//! cells expecting more than 2^21 offers or 2^20 streaming buckets.
+//! cells expecting more than 2^21 offers or 2^20 streaming buckets. A
+//! strategy run refuses, once it knows its own length, a trace whose
+//! counter tracks would fold more than 2^22 time-series cells.
 
 use std::fmt::Write;
 
 use nca_core::report::{report_config, strategy_report, UTILIZATION_BUCKET_PS};
-use nca_core::runner::{CaptureSpec, Experiment, Strategy};
+use nca_core::runner::{Experiment, Strategy};
 use nca_core::sweep::{cell_ok, fault_sweep, FaultSweepSpec};
 use nca_ddt::normalize::classify;
 use nca_ddt::types::{elem, Datatype, DatatypeExt};
 use nca_sim::{FaultSpec, Pool};
 use nca_spin::params::NicParams;
-use nca_telemetry::export;
 use nca_telemetry::report::{FaultSweepDoc, RunReportDoc};
+use nca_telemetry::streaming::series_cells;
+use nca_telemetry::{export, StreamAggregate};
 use nca_traffic::{app_group, mean_mix_wire_ps, traffic_sweep, TrafficSweepSpec};
 use nca_workloads::apps;
 use rand::rngs::StdRng;
@@ -63,6 +66,10 @@ pub struct Outcome {
     pub verdict: Option<String>,
     /// Failure message for stderr; its presence means exit status 1.
     pub fail: Option<String>,
+    /// A path-qualified refusal of an input the run could not honour
+    /// (a trace bucket width too fine for its run): nothing is printed
+    /// or written, and the exit status is 2.
+    pub refused: Option<String>,
 }
 
 /// A single-datatype strategy run, fully resolved.
@@ -77,10 +84,10 @@ pub struct StrategyPlan {
     pub epsilon: f64,
     pub out_of_order: Option<u64>,
     pub faults: FaultSpec,
-    /// Explicit telemetry ring request; `None` falls back to the
-    /// historical 4 Mi-event ring when an artifact needs capture.
+    /// Explicit telemetry ring request; `None` falls back to a 4 Mi-event
+    /// ring when an artifact needs capture.
     pub ring_capacity: Option<usize>,
-    /// Explicit streaming bucket width; `None` falls back to
+    /// Bucket width of the trace's counter tracks; `None` falls back to
     /// [`UTILIZATION_BUCKET_PS`].
     pub bucket_ps: Option<u64>,
 }
@@ -137,6 +144,18 @@ const MAX_SWEEP_CELLS: u128 = 1 << 12;
 /// trace; this bounds what a caller streaming a cell at that width
 /// allocates.
 const MAX_CELL_BUCKETS: u64 = 1 << 20;
+
+/// Events a strategy run's ring holds when the scenario names no
+/// `telemetry.ring_capacity`.
+const DEFAULT_RING: usize = 1 << 22;
+
+/// Most time-series cells (series × buckets, over all strategies) a
+/// strategy-run trace's counter tracks may fold: [`DEFAULT_RING`], so
+/// the counter tracks add at most as many samples as the default ring
+/// holds events. The shipped strategy run needs 1,620 at the default
+/// 1 µs buckets and 1.47 × 10^9 at 1 ps; a 2 MiB vector
+/// (`workload.count=65536`) needs 24.7 × 10^6 at 1 µs.
+const MAX_TRACE_CELLS: u128 = DEFAULT_RING as u128;
 
 /// Reject a vector or indexed workload whose receive span, bounded
 /// above by `copies × units × 8` bytes of doubles, exceeds
@@ -400,14 +419,11 @@ impl Plan {
 /// One datatype through every strategy plus the host and iovec
 /// baselines (`kind: "strategy-run"`).
 pub fn run_strategy(plan: &StrategyPlan, pool: &Pool, opts: &RunOptions) -> Outcome {
-    // Per-strategy rings merged after the barrier reproduce exactly
-    // what one shared ring would capture from the serial loop;
-    // per-strategy scopes keep the overlapping runs apart.
-    let capture_on = opts.want_trace
-        || opts.want_report
-        || plan.ring_capacity.is_some()
-        || plan.bucket_ps.is_some();
-    let capture = capture_on.then(|| plan.ring_capacity.unwrap_or(1usize << 22));
+    // Only the artifacts read a trace: per-strategy rings merged after
+    // the barrier reproduce exactly what one shared ring would capture
+    // from the serial loop; per-strategy scopes keep the runs apart.
+    let capture =
+        (opts.want_trace || opts.want_report).then(|| plan.ring_capacity.unwrap_or(DEFAULT_RING));
 
     let mut exp = Experiment::new(
         plan.dt.clone(),
@@ -447,15 +463,7 @@ pub fn run_strategy(plan: &StrategyPlan, pool: &Pool, opts: &RunOptions) -> Outc
     );
     // All strategies run as independent pool jobs; rendering happens
     // after the barrier, in Strategy::ALL order, from the merged sweep.
-    let sweep = exp.run_all_captured(
-        pool,
-        CaptureSpec {
-            ring_capacity: capture,
-            stream_bucket_ps: capture
-                .is_some()
-                .then(|| plan.bucket_ps.unwrap_or(UTILIZATION_BUCKET_PS)),
-        },
-    );
+    let sweep = exp.run_all_modeled(pool, capture);
     for (s, run) in &sweep.runs {
         let rel = if faulty {
             let r = &run.report.rel;
@@ -506,52 +514,67 @@ pub fn run_strategy(plan: &StrategyPlan, pool: &Pool, opts: &RunOptions) -> Outc
         stdout: o,
         ..Outcome::default()
     };
-    if capture.is_some() {
-        if sweep.dropped > 0 {
-            out.warn = Some(format!(
-                "warning: trace ring dropped {} event(s); the exported trace is a \
-                 suffix of the run (see trace_dropped_events in the report)",
-                sweep.dropped
+    if sweep.dropped > 0 {
+        out.warn = Some(format!(
+            "warning: trace ring dropped {} event(s); the exported trace is a \
+             suffix of the run (see trace_dropped_events in the report)",
+            sweep.dropped
+        ));
+    }
+    let events = sweep.events;
+    if opts.want_trace {
+        // Counter tracks are folded here, at export, from each
+        // strategy's slice of the ring.
+        let bucket_ps = plan.bucket_ps.unwrap_or(UTILIZATION_BUCKET_PS);
+        let cells = series_cells(&events, bucket_ps);
+        if cells > MAX_TRACE_CELLS {
+            out.refused = Some(format!(
+                "scenario.telemetry.bucket_ps: {bucket_ps} ps buckets need {cells} trace \
+                 counter-track cells for this run, above the bound of {MAX_TRACE_CELLS} \
+                 (raise telemetry.bucket_ps)"
             ));
+            return out;
         }
-        let events = sweep.events;
-        if opts.want_trace {
-            // Streaming time series ride along as Perfetto counter
-            // tracks, scoped per strategy like the raw events.
-            let aggs: Vec<(&str, &nca_telemetry::StreamAggregate)> = sweep
-                .aggregates
+        let folds: Vec<(&str, StreamAggregate)> = sweep
+            .runs
+            .iter()
+            .map(|(s, _)| {
+                let mut agg = StreamAggregate::new(bucket_ps);
+                for ev in events.iter().filter(|ev| ev.scope == s.label()) {
+                    agg.fold(ev);
+                }
+                (s.label(), agg)
+            })
+            .collect();
+        let aggs: Vec<(&str, &StreamAggregate)> = folds.iter().map(|(s, a)| (*s, a)).collect();
+        out.trace = Some(Artifact {
+            text: export::chrome_trace_json_with_aggregates(&events, &aggs),
+            line: format!(
+                "\ntrace    : {} events → {{path}} (Perfetto/chrome://tracing){}",
+                events.len(),
+                if sweep.dropped > 0 {
+                    format!(", {} oldest dropped", sweep.dropped)
+                } else {
+                    String::new()
+                }
+            ),
+        });
+    }
+    if opts.want_report {
+        let doc = RunReportDoc {
+            version: RunReportDoc::VERSION,
+            trace_dropped_events: sweep.dropped,
+            config: report_config(&exp),
+            strategies: sweep
+                .runs
                 .iter()
-                .map(|(s, a)| (s.label(), a))
-                .collect();
-            out.trace = Some(Artifact {
-                text: export::chrome_trace_json_with_aggregates(&events, &aggs),
-                line: format!(
-                    "\ntrace    : {} events → {{path}} (Perfetto/chrome://tracing){}",
-                    events.len(),
-                    if sweep.dropped > 0 {
-                        format!(", {} oldest dropped", sweep.dropped)
-                    } else {
-                        String::new()
-                    }
-                ),
-            });
-        }
-        if opts.want_report {
-            let doc = RunReportDoc {
-                version: RunReportDoc::VERSION,
-                trace_dropped_events: sweep.dropped,
-                config: report_config(&exp),
-                strategies: sweep
-                    .runs
-                    .iter()
-                    .map(|(s, run)| strategy_report(&exp, run, &events, s.label()))
-                    .collect(),
-            };
-            out.artifact = Some(Artifact {
-                line: format!("report   : {} strategies → {{path}}", doc.strategies.len()),
-                text: doc.to_json(),
-            });
-        }
+                .map(|(s, run)| strategy_report(&exp, run, &events, s.label()))
+                .collect(),
+        };
+        out.artifact = Some(Artifact {
+            line: format!("report   : {} strategies → {{path}}", doc.strategies.len()),
+            text: doc.to_json(),
+        });
     }
     out
 }

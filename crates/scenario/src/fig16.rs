@@ -3,9 +3,9 @@
 //! and the Portals 4 iovec baseline; annotated with γ, the host baseline
 //! time T, the message size S, and the data moved to the NIC.
 //!
-//! Lives in the scenario crate so `ncmt_cli run scenarios/fig16.json`
-//! and the `fig16_applications` binary render the one table from one
-//! implementation; `nca_bench::figures::fig16` re-exports everything.
+//! `ncmt_cli run scenarios/fig16.json` renders the quick table (messages
+//! up to 512 KiB); `--set 'workload={"kind":"apps"}'` renders all
+//! thirteen workloads.
 
 use std::fmt::Write;
 
@@ -44,16 +44,6 @@ pub fn rows_filtered(max_kib: Option<u64>, pool: &Pool) -> Vec<Row> {
     pool.par_map(workloads, |_, w| compute_row(&w))
 }
 
-/// Compute the figure (quick mode keeps only messages ≤ 512 KiB).
-pub fn rows_on(quick: bool, pool: &Pool) -> Vec<Row> {
-    rows_filtered(quick.then_some(512), pool)
-}
-
-/// [`rows_on`] with a pool sized from `NCMT_JOBS`/core count.
-pub fn rows(quick: bool) -> Vec<Row> {
-    rows_on(quick, &Pool::from_env(None))
-}
-
 fn compute_row(w: &nca_workloads::AppWorkload) -> Row {
     let params = NicParams::with_hpus(16);
     let mut exp = Experiment::new(w.dt.clone(), w.count, params);
@@ -86,9 +76,9 @@ fn compute_row(w: &nca_workloads::AppWorkload) -> Row {
     }
 }
 
-/// The figure table as a string — what [`print_on`] prints and what
-/// the `fig16` scenario writes as its artifact (so the file and the
-/// stdout are byte-identical).
+/// The figure table as a string — what the `fig16` scenario prints and
+/// writes as its artifact (so the file and the stdout are
+/// byte-identical).
 pub fn render(max_kib: Option<u64>, pool: &Pool) -> String {
     let mut o = String::new();
     let _ = writeln!(
@@ -120,14 +110,4 @@ pub fn render(max_kib: Option<u64>, pool: &Pool) -> String {
         .fold(0.0f64, f64::max);
     let _ = writeln!(o, "# max offload speedup: {best:.1}x (paper: up to ~12x)");
     o
-}
-
-/// Print the figure table, computing rows on `pool`.
-pub fn print_on(quick: bool, pool: &Pool) {
-    print!("{}", render(quick.then_some(512), pool));
-}
-
-/// Print the figure table.
-pub fn print(quick: bool) {
-    print_on(quick, &Pool::from_env(None));
 }

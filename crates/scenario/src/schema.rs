@@ -138,15 +138,16 @@ impl Default for SchedulingSpec {
     }
 }
 
-/// Telemetry capture request. Absent knobs fall back to each kind's
-/// historical default (strategy runs: a 4 Mi-event ring only when an
-/// artifact is requested). Fault sweeps record no trace and ignore
+/// Telemetry capture tuning; it never turns capture on. A strategy run
+/// captures a ring (4 Mi events unless `ring_capacity` says otherwise)
+/// only when a report or trace is requested, and `bucket_ps` sizes only
+/// its trace's counter tracks. Fault sweeps record no trace and ignore
 /// both knobs; traffic runs read only `bucket_ps`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TelemetrySpec {
     /// Ring capacity in events.
     pub ring_capacity: Option<u64>,
-    /// Streaming-aggregation bucket width (ps).
+    /// Time-series bucket width (ps).
     pub bucket_ps: Option<u64>,
 }
 

@@ -207,6 +207,14 @@ pub struct RunReport {
     /// enqueued, traced or not: channel `c` was busy
     /// `dma_chan_busy_ps[c]` ps of the run.
     pub dma_chan_busy_ps: Vec<Time>,
+    /// Handler-busy picoseconds per vHPU track, summed as handlers
+    /// start, traced or not: vHPU `v` ran handlers for
+    /// `hpu_busy_ps[v]` ps of the run.
+    pub hpu_busy_ps: Vec<Time>,
+    /// The latency distributions the core accumulates while telemetry
+    /// is on, by metric name: `handler_ps`, `queue_wait_ps` and
+    /// `dma_service_ps`. Empty when telemetry is off.
+    pub histograms: Vec<(&'static str, LogHistogram)>,
     /// DMA queue occupancy series (if recorded).
     pub dma_history: Vec<(Time, usize)>,
     /// Per-handler cost samples (payload handlers, dispatch order).
@@ -301,11 +309,11 @@ pub trait MessageSource: Sized + 'static {
         false
     }
 
-    /// A handler of `runtime` starts at `now` on physical HPU `hpu` (a
-    /// real index under dFCFS, 0 under the pooled disciplines). Called
-    /// for every handler, traced or not, so a source may account
+    /// A handler of `runtime` starts at `now` for `vhpu` on physical HPU
+    /// `hpu` (a real index under dFCFS, 0 under the pooled disciplines).
+    /// Called for every handler, traced or not, so a source may account
     /// occupancy here.
-    fn trace_handler(&mut self, _hpu: usize, _now: Time, _runtime: Time) {}
+    fn trace_handler(&mut self, _hpu: usize, _vhpu: u64, _now: Time, _runtime: Time) {}
 
     /// The DMA queue holds `depth` writes after a push or pop at `now`.
     fn trace_dma_queue(&self, _now: Time, _depth: usize) {}
@@ -316,12 +324,24 @@ pub trait MessageSource: Sized + 'static {
 
 /// [`ReceiveSim::run`]'s source: the single-message pipeline has no
 /// flow table, so the vHPU id doubles as the dFCFS steering hint and
-/// vHPUs map straight onto physical HPUs.
-struct OneMessage;
+/// vHPUs map straight onto physical HPUs. It counts each vHPU's
+/// handler-busy picoseconds ([`RunReport::hpu_busy_ps`]).
+#[derive(Default)]
+struct OneMessage {
+    hpu_busy: Vec<Time>,
+}
 
 impl MessageSource for OneMessage {
     fn steer(&self, _m: usize, vhpu: u64) -> usize {
         vhpu as usize
+    }
+
+    fn trace_handler(&mut self, _hpu: usize, vhpu: u64, _now: Time, runtime: Time) {
+        let v = vhpu as usize;
+        if self.hpu_busy.len() <= v {
+            self.hpu_busy.resize(v + 1, 0);
+        }
+        self.hpu_busy[v] += runtime;
     }
 }
 
@@ -820,7 +840,7 @@ impl<S: MessageSource> Nic<S> {
             self.hist_handler.record(runtime);
         }
         self.tel.span("spin", "handler", vhpu, now, now + runtime);
-        self.src.trace_handler(hpu, now, runtime);
+        self.src.trace_handler(hpu, vhpu, now, runtime);
         let slot = self.done.park((key, idx, hpu, out.dma));
         sim.schedule_call_in(runtime, ev_handler_done::<S>, slot, 0);
     }
@@ -1057,7 +1077,7 @@ impl ReceiveSim {
         let nic_mem = proc.nic_mem_bytes();
         let host_setup = proc.host_setup_time();
 
-        let mut nic = Nic::new(params.clone(), cfg.telemetry.clone(), OneMessage);
+        let mut nic = Nic::new(params.clone(), cfg.telemetry.clone(), OneMessage::default());
         nic.dma.history = cfg.record_dma_history.then(Vec::new);
         nic.nic_mem = nic_mem;
         if let Some(p) = &cfg.portals {
@@ -1131,13 +1151,17 @@ impl ReceiveSim {
         let t_complete = nic.msgs[0].t_complete.unwrap_or_else(|| sim.now());
         // Emit the accumulated distributions as single mergeable events
         // so percentiles survive however much the ring evicted.
-        if nic.tel.is_enabled() {
-            nic.tel
-                .histogram("spin", "handler_ps", 0, t_complete, &nic.hist_handler);
-            nic.tel
-                .histogram("spin", "queue_wait_ps", 0, t_complete, &nic.hist_queue_wait);
-            nic.tel
-                .histogram("spin", "dma_service_ps", 0, t_complete, &nic.hist_dma);
+        let histograms = if nic.tel.is_enabled() {
+            vec![
+                ("handler_ps", std::mem::take(&mut nic.hist_handler)),
+                ("queue_wait_ps", std::mem::take(&mut nic.hist_queue_wait)),
+                ("dma_service_ps", std::mem::take(&mut nic.hist_dma)),
+            ]
+        } else {
+            Vec::new()
+        };
+        for (name, h) in &histograms {
+            nic.tel.histogram("spin", name, 0, t_complete, h);
         }
         let rel = match nic.rel.take() {
             Some(r) => ReliabilityStats {
@@ -1163,6 +1187,8 @@ impl ReceiveSim {
             dma_bytes: nic.dma.bytes,
             dma_max_queue: nic.dma.max_occ,
             dma_chan_busy_ps: nic.dma_chan_busy_ps(),
+            hpu_busy_ps: std::mem::take(&mut nic.src.hpu_busy),
+            histograms,
             dma_history: nic.dma.history.take().unwrap_or_default(),
             handler_costs: msg.handler_costs,
             nic_mem_bytes: nic_mem,

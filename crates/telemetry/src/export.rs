@@ -1,4 +1,4 @@
-//! Trace exporters: Chrome/Perfetto `trace_event` JSON and CSV.
+//! Trace exporter: Chrome/Perfetto `trace_event` JSON.
 //!
 //! The JSON exporter emits the "JSON array format" both `chrome://tracing`
 //! and [ui.perfetto.dev](https://ui.perfetto.dev) load directly:
@@ -202,81 +202,6 @@ pub fn chrome_trace_json_with_aggregates(
     out
 }
 
-/// Render `events` as CSV (`time_ps,scope,component,name,track,kind,value,end_ps`).
-pub fn csv(events: &[TraceEvent]) -> String {
-    let mut out = String::from("time_ps,scope,component,name,track,kind,value,end_ps\n");
-    for ev in events {
-        let (kind, value, end) = match &ev.kind {
-            EventKind::Counter { delta } => ("counter", *delta as f64, String::new()),
-            EventKind::Gauge { value } => ("gauge", *value, String::new()),
-            EventKind::Value { value } => ("value", *value, String::new()),
-            EventKind::Span { end } => ("span", 0.0, end.to_string()),
-            EventKind::Instant => ("instant", 0.0, String::new()),
-            // Only the sample count survives the flat CSV form; the
-            // full distribution lives in the JSON run report.
-            EventKind::Hist { hist } => ("hist", hist.count() as f64, String::new()),
-        };
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{},{},{},{}",
-            ev.time, ev.scope, ev.component, ev.name, ev.track, kind, value, end
-        );
-    }
-    out
-}
-
-/// An owned row parsed back from [`csv`] output (for round-trip tests
-/// and offline analysis scripts).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CsvRow {
-    /// Timestamp (ps).
-    pub time: Time,
-    /// Scope column.
-    pub scope: String,
-    /// Component column.
-    pub component: String,
-    /// Name column.
-    pub name: String,
-    /// Track column.
-    pub track: u64,
-    /// Kind column (`counter`/`gauge`/`value`/`span`/`instant`).
-    pub kind: String,
-    /// Value column (delta for counters, 0 for spans/instants).
-    pub value: f64,
-    /// Span end (ps), if the row is a span.
-    pub end: Option<Time>,
-}
-
-/// Parse [`csv`] output back into rows. Returns `None` on malformed
-/// input (wrong column count or unparsable numbers).
-pub fn csv_parse(text: &str) -> Option<Vec<CsvRow>> {
-    let mut rows = Vec::new();
-    for line in text.lines().skip(1) {
-        if line.is_empty() {
-            continue;
-        }
-        let cols: Vec<&str> = line.split(',').collect();
-        if cols.len() != 8 {
-            return None;
-        }
-        rows.push(CsvRow {
-            time: cols[0].parse().ok()?,
-            scope: cols[1].to_string(),
-            component: cols[2].to_string(),
-            name: cols[3].to_string(),
-            track: cols[4].parse().ok()?,
-            kind: cols[5].to_string(),
-            value: cols[6].parse().ok()?,
-            end: if cols[7].is_empty() {
-                None
-            } else {
-                Some(cols[7].parse().ok()?)
-            },
-        });
-    }
-    Some(rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,44 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_round_trips() {
-        let events = sample_events();
-        let text = csv(&events);
-        let rows = csv_parse(&text).expect("parsable");
-        assert_eq!(rows.len(), events.len());
-        for (row, ev) in rows.iter().zip(&events) {
-            assert_eq!(row.time, ev.time);
-            assert_eq!(row.scope, ev.scope);
-            assert_eq!(row.component, ev.component);
-            assert_eq!(row.name, ev.name);
-            assert_eq!(row.track, ev.track);
-            match &ev.kind {
-                EventKind::Counter { delta } => {
-                    assert_eq!(row.kind, "counter");
-                    assert_eq!(row.value, *delta as f64);
-                }
-                EventKind::Gauge { value } => {
-                    assert_eq!(row.kind, "gauge");
-                    assert_eq!(row.value, *value);
-                }
-                EventKind::Value { value } => {
-                    assert_eq!(row.kind, "value");
-                    assert_eq!(row.value, *value);
-                }
-                EventKind::Span { end } => {
-                    assert_eq!(row.kind, "span");
-                    assert_eq!(row.end, Some(*end));
-                }
-                EventKind::Instant => assert_eq!(row.kind, "instant"),
-                EventKind::Hist { hist } => {
-                    assert_eq!(row.kind, "hist");
-                    assert_eq!(row.value, hist.count() as f64);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn chrome_json_renders_histogram_percentiles() {
         let json = chrome_trace_json(&sample_events());
         // p50 is the upper bound of the bucket holding 100 (≤3.1% off).
@@ -461,11 +348,5 @@ mod tests {
             _ => d,
         });
         assert_eq!(depth, 0);
-    }
-
-    #[test]
-    fn csv_parse_rejects_malformed_input() {
-        assert_eq!(csv_parse("header\n1,2,3\n"), None);
-        assert_eq!(csv_parse("h\nnot_a_number,,c,n,0,instant,0,\n"), None);
     }
 }

@@ -20,7 +20,7 @@
 //!   `Default`) carries no recorder: every record call is one `Option`
 //!   branch and constructs nothing.
 //! * [`export`] renders captured events as Chrome/Perfetto
-//!   `trace_event` JSON or CSV; [`aggregate`] rolls them up
+//!   `trace_event` JSON; [`aggregate`] rolls them up
 //!   (per-component totals, histogram summaries, time-bucketed series)
 //!   on top of `nca_sim::stats`.
 //! * [`probe::SimTelemetryProbe`] adapts a handle to
@@ -41,7 +41,7 @@ use std::sync::Arc;
 
 pub use nca_sim::Time;
 pub use ring::{merge_ring_events, RingRecorder};
-pub use streaming::{NullRecorder, StreamAggregate, StreamingRecorder, TeeRecorder};
+pub use streaming::{StreamAggregate, StreamingRecorder};
 
 /// What a [`TraceEvent`] carries beyond its key and timestamp.
 #[derive(Debug, Clone, PartialEq)]

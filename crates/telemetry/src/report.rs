@@ -130,19 +130,19 @@ pub struct FaultSummary {
 /// window once), this is *per resource* — one busy fraction per vHPU
 /// and per DMA channel — so skew across HPUs/channels is visible. It is
 /// computed by one formula, [`UtilizationReport::from_busy`], over busy
-/// totals: a strategy report's come from the streaming reducers
-/// ([`UtilizationReport::from_aggregate`]), a traffic cell's from the
-/// engine's own counters.
+/// totals the run counted: per vHPU and DMA channel for a strategy
+/// report, per physical HPU slot and channel for a traffic cell.
+/// [`UtilizationReport::from_aggregate`] reads the same totals off a
+/// folded trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UtilizationReport {
-    /// Time-series bucket width (ps) of the run's streaming capture. A
-    /// traffic cell records no trace: there it is the configured width,
-    /// and only labels the block.
+    /// Time-series bucket width (ps) a trace of the run would fold its
+    /// counter tracks at; it only labels the block.
     pub bucket_ps: Time,
     /// Handler-busy fraction of the end-to-end window, one entry per
     /// vHPU in track order.
     pub hpu_busy_frac: Vec<f64>,
-    /// Peak DMA queue occupancy observed by the `dma_queue` gauge.
+    /// Peak DMA queue occupancy (the `dma_queue` gauge's maximum).
     pub peak_queue_depth: f64,
     /// DMA-channel busy fraction of the end-to-end window, one entry
     /// per channel in track order.
@@ -229,7 +229,8 @@ pub struct StrategyReport {
     pub throughput_gbit: f64,
     /// NIC memory the strategy occupied (bytes).
     pub nic_mem_bytes: u64,
-    /// High-water mark of traced NIC-memory usage (bytes).
+    /// NIC-memory high-water mark: the static footprint plus the peak
+    /// payload resident at once (bytes).
     pub nic_mem_hwm_bytes: u64,
     /// DMA writes issued.
     pub dma_writes: u64,
@@ -245,8 +246,8 @@ pub struct StrategyReport {
     pub hpu_utilization: f64,
     /// Latency distributions by metric name.
     pub histograms: BTreeMap<String, HistSummary>,
-    /// Streaming-aggregation utilization block (`None` only for
-    /// pre-streaming producers; every current writer fills it).
+    /// Utilization block (`None` only for pre-streaming producers;
+    /// every current writer fills it).
     pub utilization: Option<UtilizationReport>,
     /// Model-vs-measured block (checkpointed strategies only).
     pub model: Option<ModelValidation>,
@@ -918,11 +919,17 @@ pub enum Json {
 }
 
 impl Json {
-    /// Parse `text`; `Err` carries a byte offset and message.
+    /// Deepest nesting of arrays and objects [`Json::parse`] accepts: the
+    /// parser recurses once per level, and no document in the tree nests
+    /// deeper than 6.
+    pub const MAX_DEPTH: usize = 256;
+
+    /// Parse `text`; `Err` carries a byte offset and message. Arrays and
+    /// objects may nest [`Json::MAX_DEPTH`] deep.
     pub fn parse(text: &str) -> Result<Json, String> {
         let b = text.as_bytes();
         let mut pos = 0;
-        let v = parse_value(b, &mut pos)?;
+        let v = parse_value(b, &mut pos, 0)?;
         skip_ws(b, &mut pos);
         if pos != b.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -987,8 +994,16 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parse one value at `pos`, inside `depth` enclosing arrays and objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'{' | b'[')) && depth == Json::MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {} levels at byte {}",
+            Json::MAX_DEPTH,
+            *pos
+        ));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'{') => {
@@ -1004,7 +1019,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, b':')?;
-                let val = parse_value(b, pos)?;
+                let val = parse_value(b, pos, depth + 1)?;
                 members.push((key, val));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -1026,7 +1041,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -1645,6 +1660,23 @@ mod tests {
         assert!(Json::parse("{\"a\": }").is_err());
         assert!(Json::parse("[1, 2").is_err());
         assert!(Json::parse("{} trailing").is_err());
+    }
+
+    #[test]
+    fn parser_bounds_the_nesting_depth() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let at = Json::parse(&nested(Json::MAX_DEPTH)).expect("exactly at the bound");
+        let mut v = &at;
+        for _ in 1..Json::MAX_DEPTH {
+            v = &v.as_arr().expect("array")[0];
+        }
+        assert_eq!(v, &Json::Arr(Vec::new()));
+        let err = Json::parse(&nested(Json::MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert_eq!(err, "nesting deeper than 256 levels at byte 256");
+        // Objects count too, and the offset names the offending bracket.
+        let obj = format!(r#"{{"a": {}}}"#, nested(Json::MAX_DEPTH));
+        let err = Json::parse(&obj).expect_err("object + arrays too deep");
+        assert_eq!(err, "nesting deeper than 256 levels at byte 261");
     }
 
     #[test]

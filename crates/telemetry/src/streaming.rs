@@ -26,8 +26,8 @@
 //! `Value`s, so this stays small; [`StreamAggregate::approx_bytes`]
 //! accounts for it either way.
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Mutex;
 
 use nca_sim::stats;
 
@@ -40,8 +40,7 @@ use crate::{EventKind, Recorder, Time, TraceEvent};
 pub struct GaugeAgg {
     /// Most recent sample.
     pub last: f64,
-    /// Largest sample since construction or the last
-    /// [`StreamAggregate::reset_gauge_hwm`].
+    /// Largest sample since construction.
     pub hwm: f64,
 }
 
@@ -256,9 +255,8 @@ impl StreamAggregate {
             .copied()
     }
 
-    /// High-water mark of one gauge across all tracks since the last
-    /// [`reset_gauge_hwm`](Self::reset_gauge_hwm); `None` when no
-    /// sample arrived since.
+    /// High-water mark of one gauge across all tracks; `None` when no
+    /// sample arrived.
     pub fn gauge_hwm(&self, component: &str, name: &str) -> Option<f64> {
         let c = self.comps.get(component)?;
         let hwm = c
@@ -270,30 +268,6 @@ impl StreamAggregate {
         hwm.is_finite().then_some(hwm)
     }
 
-    /// Most recent sample of one gauge track.
-    pub fn gauge_last(&self, component: &str, name: &str, track: u64) -> Option<f64> {
-        self.comps
-            .get(component)
-            .and_then(|c| {
-                c.gauges
-                    .iter()
-                    .find(|((n, t), _)| *n == name && *t == track)
-            })
-            .map(|(_, g)| g.last)
-    }
-
-    /// Reset every gauge high-water mark (keeps the last samples).
-    /// Called between pool jobs so a job's HWM (e.g.
-    /// `nic_mem_hwm_bytes`) is not contaminated by a previous job that
-    /// ran on the same worker and sink.
-    pub fn reset_gauge_hwm(&mut self) {
-        for c in self.comps.values_mut() {
-            for g in c.gauges.values_mut() {
-                g.hwm = f64::NEG_INFINITY;
-            }
-        }
-    }
-
     /// Busy picoseconds per time bucket of one span series (e.g. the
     /// per-vHPU `handler` occupancy). Empty when the series is absent.
     pub fn busy_series(&self, component: &str, name: &str, track: u64) -> &[Time] {
@@ -302,15 +276,6 @@ impl StreamAggregate {
             .find(|((c, n, t), _)| *c == component && *n == name && *t == track)
             .map(|(_, v)| v.as_slice())
             .unwrap_or(&[])
-    }
-
-    /// Busy *fraction* per time bucket of one span series: busy ps over
-    /// the bucket width (can exceed 1.0 if spans of one track overlap).
-    pub fn busy_fraction(&self, component: &str, name: &str, track: u64) -> Vec<f64> {
-        self.busy_series(component, name, track)
-            .iter()
-            .map(|&b| b as f64 / self.bucket_ps as f64)
-            .collect()
     }
 
     /// Total busy picoseconds of one span series across all buckets.
@@ -393,6 +358,26 @@ fn fold_span(series: &mut Vec<Time>, bucket_ps: Time, start: Time, end: Time) {
     }
 }
 
+/// Time-series cells (busy and gauge-peak buckets) that folding
+/// `events` into one [`StreamAggregate`] per scope at `bucket_ps`
+/// allocates: each series holds one cell per bucket up to its last
+/// sample. A caller can refuse a bucket width before folding.
+pub fn series_cells(events: &[TraceEvent], bucket_ps: Time) -> u128 {
+    let mut last: HashMap<(&str, SeriesKey), Time> = HashMap::new();
+    for ev in events {
+        let t = match ev.kind {
+            EventKind::Span { end } if end > ev.time => end - 1,
+            EventKind::Gauge { .. } => ev.time,
+            _ => continue,
+        };
+        let e = last
+            .entry((ev.scope, (ev.component, ev.name, ev.track)))
+            .or_insert(t);
+        *e = (*e).max(t);
+    }
+    last.values().map(|&t| (t / bucket_ps) as u128 + 1).sum()
+}
+
 /// A [`Recorder`] folding events into a [`StreamAggregate`] at
 /// emission: the bounded-memory alternative to [`crate::RingRecorder`].
 pub struct StreamingRecorder {
@@ -405,14 +390,6 @@ impl StreamingRecorder {
         StreamingRecorder {
             inner: Mutex::new(StreamAggregate::new(bucket_ps)),
         }
-    }
-
-    /// Mark a pool-job boundary: resets gauge high-water marks so the
-    /// next job's HWMs start fresh even when the sink is reused across
-    /// jobs on one worker (see
-    /// [`StreamAggregate::reset_gauge_hwm`]).
-    pub fn begin_job(&self) {
-        self.lock().reset_gauge_hwm();
     }
 
     /// Clone of the current aggregate.
@@ -447,43 +424,11 @@ impl Recorder for StreamingRecorder {
     }
 }
 
-/// A [`Recorder`] that discards every event. Emission cost is identical
-/// to any real sink, so benchmarking against it isolates what a sink
-/// does per event from what constructing and dispatching the event
-/// costs.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    fn record(&self, _ev: TraceEvent) {}
-}
-
-/// A [`Recorder`] fanning every event out to two sinks — typically a
-/// [`crate::RingRecorder`] (for trace export / flight attribution) and
-/// a [`StreamingRecorder`] (for bounded-memory aggregation).
-pub struct TeeRecorder {
-    a: Arc<dyn Recorder>,
-    b: Arc<dyn Recorder>,
-}
-
-impl TeeRecorder {
-    /// Fan out to `a` then `b` (per event, in that order).
-    pub fn new(a: Arc<dyn Recorder>, b: Arc<dyn Recorder>) -> Self {
-        TeeRecorder { a, b }
-    }
-}
-
-impl Recorder for TeeRecorder {
-    fn record(&self, ev: TraceEvent) {
-        self.a.record(ev.clone());
-        self.b.record(ev);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::aggregate;
+    use std::sync::Arc;
 
     fn ev(
         component: &'static str,
@@ -580,14 +525,33 @@ mod tests {
     }
 
     #[test]
+    fn series_cells_counts_what_the_fold_allocates() {
+        let evs = sample_stream();
+        for bucket_ps in [1, 7, 100, 1_000] {
+            let mut agg = StreamAggregate::new(bucket_ps);
+            for e in &evs {
+                agg.fold(e);
+            }
+            let folded: usize = agg.busy_series_iter().map(|(_, v)| v.len()).sum::<usize>()
+                + agg.gauge_peak_iter().map(|(_, v)| v.len()).sum::<usize>();
+            assert_eq!(series_cells(&evs, bucket_ps), folded as u128, "{bucket_ps}");
+        }
+        // Scopes fold into separate aggregates, so they count apart.
+        let mut scoped = evs.clone();
+        scoped.extend(evs.iter().map(|e| TraceEvent {
+            scope: "RW-CP",
+            ..e.clone()
+        }));
+        assert_eq!(series_cells(&scoped, 100), 2 * series_cells(&evs, 100));
+    }
+
+    #[test]
     fn span_busy_tiles_across_buckets() {
         let mut agg = StreamAggregate::new(100);
         // [10, 250) overlaps buckets 0 ([10,100) = 90), 1 (100), 2 (50).
         agg.fold(&ev("spin", "handler", 2, 10, EventKind::Span { end: 250 }));
         assert_eq!(agg.busy_series("spin", "handler", 2), &[90, 100, 50]);
         assert_eq!(agg.busy_total("spin", "handler", 2), 240);
-        let frac = agg.busy_fraction("spin", "handler", 2);
-        assert_eq!(frac, vec![0.9, 1.0, 0.5]);
         // Zero-length spans contribute count but no busy time.
         agg.fold(&ev("spin", "handler", 2, 300, EventKind::Span { end: 300 }));
         assert_eq!(agg.busy_total("spin", "handler", 2), 240);
@@ -611,66 +575,20 @@ mod tests {
         assert_eq!(s[2], 1.0);
         assert!(s[1] == f64::NEG_INFINITY, "no sample in bucket 1");
         assert_eq!(agg.gauge_hwm("spin", "dma_queue"), Some(7.0));
-        assert_eq!(agg.gauge_last("spin", "dma_queue", 0), Some(1.0));
     }
 
     #[test]
-    fn reset_gauge_hwm_clears_contamination() {
-        let mut agg = StreamAggregate::new(100);
-        agg.fold(&ev(
-            "spin",
-            "nic_mem_bytes",
-            0,
-            10,
-            EventKind::Gauge { value: 900.0 },
-        ));
-        assert_eq!(agg.gauge_hwm("spin", "nic_mem_bytes"), Some(900.0));
-        agg.reset_gauge_hwm();
-        assert_eq!(agg.gauge_hwm("spin", "nic_mem_bytes"), None);
-        agg.fold(&ev(
-            "spin",
-            "nic_mem_bytes",
-            0,
-            20,
-            EventKind::Gauge { value: 40.0 },
-        ));
-        assert_eq!(
-            agg.gauge_hwm("spin", "nic_mem_bytes"),
-            Some(40.0),
-            "HWM must restart after the job boundary, not remember 900"
-        );
-    }
-
-    #[test]
-    fn streaming_recorder_folds_and_begin_job_resets() {
+    fn streaming_recorder_folds_what_it_records() {
         let rec = Arc::new(StreamingRecorder::new(100));
         let tel = crate::Telemetry::with_recorder(rec.clone());
         tel.gauge("spin", "nic_mem_bytes", 0, 5, 1000.0);
         tel.counter("spin", "packets_arrived", 0, 6, 2);
-        assert_eq!(
-            rec.snapshot().gauge_hwm("spin", "nic_mem_bytes"),
-            Some(1000.0)
-        );
-        rec.begin_job();
-        tel.gauge("spin", "nic_mem_bytes", 0, 7, 10.0);
         let agg = rec.snapshot();
-        assert_eq!(agg.gauge_hwm("spin", "nic_mem_bytes"), Some(10.0));
+        assert_eq!(agg.gauge_hwm("spin", "nic_mem_bytes"), Some(1000.0));
         assert_eq!(agg.counter_total("spin", "packets_arrived"), 2);
         assert!(rec.approx_bytes() > 0);
-    }
-
-    #[test]
-    fn tee_feeds_both_sinks() {
-        let ring = Arc::new(crate::RingRecorder::new(16));
-        let stream = Arc::new(StreamingRecorder::new(100));
-        let tee = TeeRecorder::new(ring.clone(), stream.clone());
-        let tel = crate::Telemetry::with_recorder(Arc::new(tee));
-        tel.counter("spin", "packets_arrived", 0, 1, 5);
-        assert_eq!(ring.len(), 1);
-        assert_eq!(
-            stream.snapshot().counter_total("spin", "packets_arrived"),
-            5
-        );
+        assert_eq!(rec.take().counter_total("spin", "packets_arrived"), 2);
+        assert_eq!(rec.snapshot().counter_total("spin", "packets_arrived"), 0);
     }
 
     #[test]

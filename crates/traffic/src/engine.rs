@@ -343,7 +343,7 @@ impl MessageSource for Cell {
         self.tel.is_enabled()
     }
 
-    fn trace_handler(&mut self, hpu: usize, now: Time, runtime: Time) {
+    fn trace_handler(&mut self, hpu: usize, _vhpu: u64, now: Time, runtime: Time) {
         // Charge the handler to a *physical* HPU — the busy resource
         // the utilization block reports on (vHPUs are per-message
         // virtual). dFCFS dispatches carry a real HPU binding; the pool

@@ -14,7 +14,7 @@
 //!   segments, checkpoints, pack/unpack, flattening, normalization).
 //! * [`sim`] — deterministic discrete-event engine.
 //! * [`telemetry`] — simulation-time-aware tracing & metrics
-//!   (ring sink, Perfetto/CSV export, aggregation).
+//!   (ring sink, Perfetto export, aggregation).
 //! * [`memsim`] — host LLC/memory-traffic simulation.
 //! * [`portals`] — Portals 4 matching, packetization, streaming puts.
 //! * [`spin`] — the sPIN NIC model (HPUs, scheduler, DMA/PCIe).

@@ -117,7 +117,7 @@ fn fig15_timelines_have_host_overhead_for_checkpointed() {
 
 #[test]
 fn fig16_headline_claims() {
-    let rows = figures::fig16::rows(true);
+    let rows = ncmt::scenario::fig16::rows_filtered(Some(512), &ncmt::sim::Pool::from_env(None));
     assert!(rows.len() >= 20);
     let best = rows
         .iter()

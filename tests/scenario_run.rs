@@ -1,15 +1,16 @@
 //! End-to-end tests of the declarative scenario layer through the
 //! `ncmt` facade: every shipped `scenarios/*.json` parses, compiles
-//! and runs; the `traffic`, `ddt-host-compare` and `fault-sweep`
-//! scenarios reproduce their committed goldens byte-for-byte; scenario
-//! runs stay byte-identical at any worker count; fault counts do not
-//! depend on the trace ring's size; and inputs a run could not finish
-//! are rejected at compile time, promptly, with a path-qualified error.
+//! and runs; the `traffic`, `ddt-host-compare`, `fault-sweep` and
+//! strategy-run scenarios reproduce their committed goldens
+//! byte-for-byte; scenario runs and the strategy-run trace stay
+//! byte-identical at any worker count; only a report's attribution
+//! depends on the trace ring's size; and inputs a run could not finish
+//! are rejected, promptly, with a path-qualified error.
 
 use std::sync::mpsc;
 use std::time::Duration;
 
-use ncmt::scenario::{parse_scenario, parse_scenario_with, Plan, RunOptions, Scenario};
+use ncmt::scenario::{parse_scenario, parse_scenario_with, Outcome, Plan, RunOptions, Scenario};
 use ncmt::sim::Pool;
 use ncmt::telemetry::report::Json;
 
@@ -190,6 +191,25 @@ fn fault_sweep_artifact_does_not_depend_on_the_ring_capacity() {
     );
 }
 
+const REPORT_ONLY: RunOptions = RunOptions {
+    want_trace: false,
+    want_report: true,
+};
+
+#[test]
+fn strategy_run_report_reproduces_the_ci_baseline_golden() {
+    let plan = shipped("strategy_run.json").compile().expect("compiles");
+    let out = plan.run(&Pool::from_env(None), &REPORT_ONLY);
+    let path = repo_path("tests/golden/ci_baseline_report.json");
+    let golden =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("missing golden {path}: {e}"));
+    assert_eq!(
+        out.artifact.expect("run report").text,
+        golden,
+        "scenarios/strategy_run.json's report drifted from {path}"
+    );
+}
+
 #[test]
 fn strategy_report_fault_blocks_do_not_depend_on_the_ring_capacity() {
     let report = |ring: u64| {
@@ -198,11 +218,7 @@ fn strategy_report_fault_blocks_do_not_depend_on_the_ring_capacity() {
             "strategy_run.json",
             &["faults.drop=0.05", "faults.duplicate=0.02", &set],
         );
-        let opts = RunOptions {
-            want_trace: false,
-            want_report: true,
-        };
-        let out = plan.run(&Pool::from_env(None), &opts);
+        let out = plan.run(&Pool::from_env(None), &REPORT_ONLY);
         Json::parse(&out.artifact.expect("run report").text).expect("report parses")
     };
     let dropped = |doc: &Json| doc.get("trace_dropped_events").and_then(Json::as_f64);
@@ -221,6 +237,38 @@ fn strategy_report_fault_blocks_do_not_depend_on_the_ring_capacity() {
     let large = report(1 << 22);
     assert!(dropped(&small) > Some(0.0), "the small ring must drop");
     assert_eq!(dropped(&large), Some(0.0));
+    // Every field the run counts is the same whatever the ring kept:
+    // only the attribution and the drop count read the trace.
+    let without = |doc: &Json, keys: &[&str]| -> Vec<(String, Json)> {
+        match doc {
+            Json::Obj(m) => m
+                .iter()
+                .filter(|(k, _)| !keys.contains(&k.as_str()))
+                .cloned()
+                .collect(),
+            other => panic!("not an object: {other:?}"),
+        }
+    };
+    let strategies = |doc: &Json| {
+        doc.get("strategies")
+            .and_then(Json::as_arr)
+            .map(<[Json]>::to_vec)
+    };
+    let doc_keys = ["trace_dropped_events", "strategies"];
+    assert_eq!(without(&small, &doc_keys), without(&large, &doc_keys));
+    let (s_small, s_large) = (
+        strategies(&small).expect("strategies"),
+        strategies(&large).expect("strategies"),
+    );
+    assert_eq!(s_small.len(), s_large.len());
+    for (s, l) in s_small.iter().zip(&s_large) {
+        assert_eq!(
+            without(s, &["attribution"]),
+            without(l, &["attribution"]),
+            "a dropping ring changed a counted field of {:?}",
+            l.get("name")
+        );
+    }
     let (small, large) = (faults(&small), faults(&large));
     assert_eq!(small.len(), 4);
     assert_eq!(small, large, "a dropping ring changed a faults block");
@@ -246,6 +294,89 @@ fn fig16_scenario_renders_the_quick_figure_table() {
     let art = out.artifact.expect("figure artifact");
     assert_eq!(art.text, table);
     assert_eq!(out.stdout, table, "the figure table is also the stdout");
+}
+
+#[test]
+fn strategy_run_trace_has_counter_tracks_per_strategy_at_any_worker_count() {
+    let plan = shipped("strategy_run.json").compile().expect("compiles");
+    let opts = RunOptions {
+        want_trace: true,
+        want_report: false,
+    };
+    let trace = |pool: &Pool| plan.run(pool, &opts).trace.expect("trace artifact").text;
+    let serial = trace(&Pool::serial());
+    assert_eq!(
+        serial,
+        trace(&Pool::new(3)),
+        "the trace differs between --jobs 1 and --jobs 3"
+    );
+    let doc = Json::parse(&serial).expect("the trace parses");
+    let events = doc.as_arr().expect("a trace is an array of events");
+    let field = |ev: &Json, key: &str| ev.path(key).and_then(Json::as_str).map(str::to_string);
+    for label in ["Specialized", "RW-CP", "RO-CP", "HPU-local"] {
+        let process = format!("{label}/spin");
+        let pid = events
+            .iter()
+            .find(|ev| {
+                field(ev, "ph").as_deref() == Some("M")
+                    && field(ev, "args.name") == Some(process.clone())
+            })
+            .and_then(|ev| ev.get("pid"))
+            .unwrap_or_else(|| panic!("no {process} process"));
+        let samples = events
+            .iter()
+            .filter(|ev| {
+                ev.get("pid") == Some(pid)
+                    && field(ev, "ph").as_deref() == Some("C")
+                    && field(ev, "name").as_deref() == Some("handler_busy_frac")
+            })
+            .count();
+        assert!(samples > 0, "{process} has no handler_busy_frac samples");
+    }
+}
+
+/// Run a compiled plan on a watchdog thread: the answer must come
+/// within 60 s, even in a debug build on a loaded machine.
+fn run_watched(plan: Plan, opts: RunOptions) -> Outcome {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(plan.run(&Pool::from_env(None), &opts));
+    });
+    match rx.recv_timeout(Duration::from_secs(60)) {
+        Ok(out) => out,
+        Err(mpsc::RecvTimeoutError::Timeout) => panic!("the run did not answer within 60 s"),
+        Err(mpsc::RecvTimeoutError::Disconnected) => panic!("the run panicked"),
+    }
+}
+
+#[test]
+fn a_fine_trace_bucket_cannot_abort_a_strategy_run() {
+    // `telemetry.bucket_ps=1` once aborted a report run folding per-HPU
+    // series of 1 ps buckets (about 11 GB). The report reads the run's
+    // counters, so the width changes nothing in it.
+    let fine = "telemetry.bucket_ps=1";
+    let report = |sets: &[&str]| {
+        let out = run_watched(shipped_with("strategy_run.json", sets), REPORT_ONLY);
+        assert!(out.refused.is_none(), "{sets:?}: {:?}", out.refused);
+        out.artifact.expect("run report").text
+    };
+    assert_eq!(
+        report(&[fine]),
+        report(&[]),
+        "the trace bucket width changed the report"
+    );
+    // A trace folds its counter tracks at that width: 1.47e9 cells is
+    // past the bound, so the run is refused before the fold allocates.
+    let traced = run_watched(
+        shipped_with("strategy_run.json", &[fine]),
+        RunOptions {
+            want_trace: true,
+            want_report: true,
+        },
+    );
+    let err = traced.refused.expect("the trace is refused");
+    assert!(err.starts_with("scenario.telemetry.bucket_ps: "), "{err}");
+    assert!(traced.trace.is_none() && traced.artifact.is_none());
 }
 
 /// Parse a shipped scenario with `--set` overrides and compile it on a

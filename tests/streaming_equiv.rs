@@ -1,17 +1,18 @@
 //! Equivalence wall for the streaming telemetry pipeline: folding
-//! events into bounded [`StreamAggregate`] reducers at emission must be
+//! events into bounded [`StreamAggregate`] reducers must be
 //! indistinguishable from retaining every event and rolling the stream
 //! up afterwards — for arbitrary event sequences, at any shard count,
-//! and end to end through the runner's parallel capture path. This is
-//! the contract that lets long runs drop the ring without changing a
-//! single reported number.
+//! and end to end through the runner's parallel capture path, where
+//! each strategy's ring slice also folds to the counters its run kept.
+//! This is the contract that lets a trace's counter tracks be folded at
+//! export, and a report read counters instead of the trace.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use ncmt::core::report::strategy_report;
-use ncmt::core::runner::{CaptureSpec, Experiment, Strategy as Recv};
+use ncmt::core::runner::{Experiment, StrategySweep};
 use ncmt::ddt::types::{elem, Datatype, DatatypeExt};
 use ncmt::sim::Pool;
 use ncmt::spin::params::NicParams;
@@ -106,57 +107,79 @@ fn captured_experiment() -> Experiment {
     exp
 }
 
-const SPEC: CaptureSpec = CaptureSpec {
-    ring_capacity: Some(1 << 20),
-    stream_bucket_ps: Some(1_000_000),
-};
+const RING: Option<usize> = Some(1 << 20);
 
-/// End to end through the runner: the per-strategy streaming aggregates
-/// a parallel sweep returns must roll up exactly like that strategy's
-/// slice of the retained ring.
+/// Each strategy's slice of the merged ring, folded at 1 µs buckets, in
+/// `Strategy::ALL` order.
+fn slice_folds(sweep: &StrategySweep) -> Vec<(&'static str, Vec<TraceEvent>, StreamAggregate)> {
+    sweep
+        .runs
+        .iter()
+        .map(|(s, _)| {
+            let evs: Vec<TraceEvent> = sweep
+                .events
+                .iter()
+                .filter(|e| e.scope == s.label())
+                .cloned()
+                .collect();
+            let mut agg = StreamAggregate::new(1_000_000);
+            for e in &evs {
+                agg.fold(e);
+            }
+            (s.label(), evs, agg)
+        })
+        .collect()
+}
+
+/// End to end through the runner: each strategy's slice of a parallel
+/// sweep's ring folds to exactly that slice's rollup, and its handler
+/// busy series to the per-vHPU busy time the run counted.
 #[test]
 fn runner_streaming_aggregates_match_ring_rollups() {
     let exp = captured_experiment();
-    let sweep = exp.run_all_captured(&Pool::new(4), SPEC);
-    assert_eq!(sweep.aggregates.len(), Recv::ALL.len());
-    for (s, agg) in &sweep.aggregates {
-        let evs: Vec<TraceEvent> = sweep
-            .events
-            .iter()
-            .filter(|e| e.scope == s.label())
-            .cloned()
-            .collect();
-        assert!(!evs.is_empty(), "{} captured no events", s.label());
-        assert_eq!(agg.rollups(), rollup(&evs), "{}", s.label());
+    let sweep = exp.run_all_modeled(&Pool::new(4), RING);
+    assert_eq!(sweep.dropped, 0);
+    for ((label, evs, agg), (_, run)) in slice_folds(&sweep).iter().zip(&sweep.runs) {
+        assert!(!evs.is_empty(), "{label} captured no events");
+        assert_eq!(agg.rollups(), rollup(evs), "{label}");
+        let busy = &run.report.hpu_busy_ps;
+        for (v, &ps) in busy.iter().enumerate() {
+            assert_eq!(
+                agg.busy_total("spin", "handler", v as u64),
+                ps,
+                "{label} vHPU {v}"
+            );
+        }
+        assert!(
+            agg.busy_tracks("spin", "handler").len() <= busy.len(),
+            "{label}"
+        );
     }
 }
 
-/// Regression for per-job gauge decontamination at `--jobs 4`: each
-/// strategy's NIC-memory high-water mark — both the streamed gauge HWM
-/// and the report field derived from it — must equal its serial value,
-/// not the maximum over whatever jobs shared a worker.
+/// Regression for per-job NIC-memory peaks at `--jobs 4`: each
+/// strategy's high-water mark — the report field and the gauge its ring
+/// slice folds to — must equal its serial value, not the maximum over
+/// whatever jobs shared a worker.
 #[test]
 fn nic_mem_hwm_is_per_job_at_jobs_4() {
     let exp = captured_experiment();
-    let serial = exp.run_all_captured(&Pool::serial(), SPEC);
-    let parallel = exp.run_all_captured(&Pool::new(4), SPEC);
-
-    for ((s1, a1), (s2, a2)) in serial.aggregates.iter().zip(&parallel.aggregates) {
-        assert_eq!(s1.label(), s2.label());
-        let hwm = a1.gauge_hwm("spin", "nic_mem_bytes");
-        assert!(hwm.is_some(), "{} recorded no NIC-memory gauge", s1.label());
-        assert_eq!(hwm, a2.gauge_hwm("spin", "nic_mem_bytes"), "{}", s1.label());
-    }
-    // Strategies differ in footprint, so cross-job contamination (a
-    // shared sink remembering a bigger job's peak) would break this.
+    let serial = exp.run_all_modeled(&Pool::serial(), RING);
+    let parallel = exp.run_all_modeled(&Pool::new(4), RING);
     let hwms: Vec<u64> = serial
         .runs
         .iter()
         .zip(&parallel.runs)
-        .map(|((s, run_s), (_, run_p))| {
+        .zip(slice_folds(&parallel))
+        .map(|(((s, run_s), (_, run_p)), (label, _, agg))| {
             let rs = strategy_report(&exp, run_s, &serial.events, s.label());
-            let rp = strategy_report(&exp, run_p, &parallel.events, s.label());
-            assert_eq!(rs.nic_mem_hwm_bytes, rp.nic_mem_hwm_bytes, "{}", s.label());
+            let rp = strategy_report(&exp, run_p, &parallel.events, label);
+            assert_eq!(rs.nic_mem_hwm_bytes, rp.nic_mem_hwm_bytes, "{label}");
+            assert_eq!(
+                agg.gauge_hwm("spin", "nic_mem_bytes"),
+                Some(rp.nic_mem_hwm_bytes as f64),
+                "{label}: the traced gauge peak"
+            );
             rs.nic_mem_hwm_bytes
         })
         .collect();
@@ -166,6 +189,8 @@ fn nic_mem_hwm_is_per_job_at_jobs_4() {
         h.dedup();
         h.len()
     };
+    // Strategies differ in footprint, so cross-job contamination (a
+    // shared sink remembering a bigger job's peak) would break this.
     assert!(
         distinct > 1,
         "strategies should have distinct HWMs for the check to bite: {hwms:?}"
