@@ -46,22 +46,6 @@ pub const STRATEGIES: [Strategy; 4] = [
     Strategy::Specialized,
 ];
 
-/// The full (undownsampled) DMA-queue occupancy series of one strategy,
-/// extracted from a trace of the run.
-pub fn trace_dma_series(strategy: Strategy, quick: bool) -> Vec<(u64, usize)> {
-    let msg: u64 = if quick { 256 << 10 } else { 4 << 20 };
-    let (dt, count) = vector_workload(msg, 128);
-    let mut exp = Experiment::new(dt, count, NicParams::with_hpus(16));
-    exp.verify = false;
-    let (tel, sink) = Telemetry::ring(1 << 20);
-    exp.telemetry = tel;
-    exp.run(strategy);
-    aggregate::gauge_series(&sink.events(), "spin", "dma_queue")
-        .into_iter()
-        .map(|(t, v)| (t, v as usize))
-        .collect()
-}
-
 /// Compute the figure (γ=16, i.e. 128 B blocks).
 pub fn timelines(quick: bool) -> Vec<Timeline> {
     let msg: u64 = if quick { 256 << 10 } else { 4 << 20 };

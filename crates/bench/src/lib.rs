@@ -35,16 +35,3 @@ pub fn quick_from_env_args() -> bool {
             .map(|v| v == "1")
             .unwrap_or(false)
 }
-
-/// Worker pool for a figure binary: `--jobs N` argument, else the
-/// `NCMT_JOBS`/core-count defaults of [`nca_sim::Pool::from_env`].
-/// Figure output is deterministic and ordered at any worker count.
-pub fn pool_from_env_args() -> nca_sim::Pool {
-    let args: Vec<String> = std::env::args().collect();
-    let requested = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok());
-    nca_sim::Pool::from_env(requested)
-}

@@ -2,11 +2,10 @@
 //! the glue between the NIC model (this crate) and the generic report
 //! schema (`nca-telemetry`). One [`strategy_report`] call turns a
 //! [`ModeledRun`] into the measured + model-validated block `ncmt_cli
-//! --report-out` serializes. Every field but the latency attribution
-//! comes from the counters the run itself keeps; only the attribution
-//! reads the captured trace.
+//! --report-out` serializes. Every field comes from what the run itself
+//! keeps (its counters, histograms and stage intervals), so no trace is
+//! captured for a report and none can change it.
 
-use nca_telemetry::flight;
 use nca_telemetry::report::{
     FaultSummary, HistSummary, ModelValidation, ReportConfig, StrategyReport, UtilizationReport,
 };
@@ -34,28 +33,13 @@ pub fn report_config(exp: &Experiment) -> ReportConfig {
     }
 }
 
-/// Build the report entry for one strategy run. Busy time, the
-/// utilization block, the NIC-memory peak, the latency histograms and
-/// the observed scheduling overhead come from `run.report`; `events`
-/// feed only the attribution. `scope` selects this run's events when
-/// several strategies share one ring (see
-/// [`nca_telemetry::Telemetry::scoped`]); pass `""` for an unscoped
-/// capture.
-pub fn strategy_report(
-    exp: &Experiment,
-    run: &ModeledRun,
-    events: &[TraceEvent],
-    scope: &str,
-) -> StrategyReport {
-    let evs: Vec<TraceEvent> = events
-        .iter()
-        .filter(|ev| ev.scope == scope)
-        .cloned()
-        .collect();
+/// Build the report entry for one strategy run, entirely from
+/// `run.report`: the attribution sweeps its stage intervals, and busy
+/// time, the utilization block, the NIC-memory peak, the latency
+/// histograms and the observed scheduling overhead are its counters.
+pub fn strategy_report(exp: &Experiment, run: &ModeledRun) -> StrategyReport {
     let r = &run.report;
     let end_to_end = r.processing_time();
-
-    let attribution = flight::attribute(&evs, r.t_first_byte, r.t_complete);
 
     let histograms = r
         .histograms
@@ -120,9 +104,9 @@ pub fn strategy_report(
         histograms,
         utilization: Some(utilization),
         model,
-        faults: fault_summary(run, &evs),
+        faults: fault_summary(run, &[]),
     };
-    out.set_attribution(&attribution);
+    out.set_attribution(&r.attribution());
     out
 }
 
@@ -163,20 +147,18 @@ mod tests {
     use nca_spin::params::NicParams;
     use nca_telemetry::Telemetry;
 
-    fn traced_experiment() -> (Experiment, std::sync::Arc<nca_telemetry::RingRecorder>) {
+    /// The CI strategy run's experiment, telemetry off: a report needs
+    /// no capture.
+    fn experiment() -> Experiment {
         let dt = Datatype::vector(512, 16, 32, &elem::double());
-        let (tel, sink) = Telemetry::ring(1 << 20);
-        let mut exp = Experiment::new(dt, 1, NicParams::with_hpus(16));
-        exp.telemetry = tel;
-        (exp, sink)
+        Experiment::new(dt, 1, NicParams::with_hpus(16))
     }
 
     #[test]
     fn strategy_report_attribution_tiles_the_window() {
-        let (exp, sink) = traced_experiment();
+        let exp = experiment();
         let run = exp.run_modeled(Strategy::RwCp);
-        let events = sink.events();
-        let rep = strategy_report(&exp, &run, &events, "");
+        let rep = strategy_report(&exp, &run);
         assert_eq!(rep.name, "RW-CP");
         assert_eq!(rep.attribution_sum(), rep.end_to_end_ps);
         assert!(rep.histograms.contains_key("handler_ps"));
@@ -188,12 +170,14 @@ mod tests {
     fn utilization_block_matches_the_trace() {
         // The report reads the run's counters; a lossless trace of the
         // same run folds to the same busy time, utilization block,
-        // histograms and NIC-memory peak.
+        // histograms, NIC-memory peak and attribution.
         for s in Strategy::ALL {
-            let (exp, sink) = traced_experiment();
+            let (tel, sink) = Telemetry::ring(1 << 20);
+            let mut exp = experiment();
+            exp.telemetry = tel;
             let run = exp.run_modeled(s);
             let events = sink.events();
-            let rep = strategy_report(&exp, &run, &events, "");
+            let rep = strategy_report(&exp, &run);
             let mut agg = nca_telemetry::StreamAggregate::new(UTILIZATION_BUCKET_PS);
             for ev in &events {
                 agg.fold(ev);
@@ -216,17 +200,17 @@ mod tests {
                 "{}",
                 s.label()
             );
+            let r = &run.report;
+            let traced = nca_telemetry::flight::attribute(&events, r.t_first_byte, r.t_complete);
+            assert_eq!(r.attribution(), traced, "{}", s.label());
         }
     }
 
     #[test]
     fn model_block_present_only_for_checkpointed_strategies() {
-        let (exp, sink) = traced_experiment();
-        let rw = exp.run_modeled(Strategy::RwCp);
-        let spec = exp.run_modeled(Strategy::Specialized);
-        let events = sink.events();
-        let rep_rw = strategy_report(&exp, &rw, &events, "");
-        let rep_spec = strategy_report(&exp, &spec, &events, "");
+        let exp = experiment();
+        let rep_rw = strategy_report(&exp, &exp.run_modeled(Strategy::RwCp));
+        let rep_spec = strategy_report(&exp, &exp.run_modeled(Strategy::Specialized));
         let m = rep_rw.model.expect("RW-CP carries a Δr plan");
         assert!(m.t_ph_predicted_ps > 0);
         assert!(m.sched_budget_ps > 0);
@@ -235,7 +219,7 @@ mod tests {
 
     #[test]
     fn config_block_matches_the_experiment() {
-        let (exp, _sink) = traced_experiment();
+        let exp = experiment();
         let cfg = report_config(&exp);
         assert_eq!(cfg.msg_bytes, exp.dt.size);
         assert_eq!(cfg.hpus, 16);

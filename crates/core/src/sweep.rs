@@ -45,9 +45,10 @@ pub struct FaultSweepSpec {
     pub seeds: u64,
     /// Fault-rate scales (0.0 doubles as the lossless control).
     pub scales: Vec<f64>,
-    /// The scenario's `telemetry.ring_capacity`. The sweep records no
-    /// trace and does not read it; it is kept so existing spec literals
-    /// compile.
+    /// Ring capacity for a caller that traces the sweep's receives (the
+    /// scenario benchmark's decomposition; a fault-sweep scenario sets
+    /// 1 Mi events and refuses `telemetry.ring_capacity`). The sweep
+    /// itself records no trace and does not read it.
     pub ring_capacity: usize,
 }
 

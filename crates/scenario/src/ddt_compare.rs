@@ -36,7 +36,7 @@ use nca_sim::Pool;
 use nca_spin::handler::unpack_recorded;
 use nca_workloads::apps::all_workloads;
 
-use crate::schema::{esc, fmt_f64};
+use nca_telemetry::report::{esc, fmt_f64};
 
 /// One application workload compared across the two unpack paths.
 #[derive(Debug, Clone, PartialEq)]

@@ -2,8 +2,9 @@
 //! on a worker [`Pool`]. The run functions here are the implementation
 //! behind `ncmt_cli run <scenario.json>`; at any `--jobs` value every
 //! grid comes back in serial job order, so the printed tables and
-//! written artifacts are byte-identical. [`Scenario::compile`] also
-//! rejects, with a path-qualified error, inputs a run could not finish:
+//! written artifacts are byte-identical. [`Scenario::compile`] refuses
+//! telemetry keys a kind would ignore, and rejects, with a
+//! path-qualified error, inputs a run could not finish:
 //! receive spans over 1 GiB, more than 1024 tenants, more than 2^16
 //! RSS slots, a horizon past the 64-bit picosecond clock, and traffic
 //! cells expecting more than 2^21 offers or 2^20 streaming buckets. A
@@ -84,8 +85,8 @@ pub struct StrategyPlan {
     pub epsilon: f64,
     pub out_of_order: Option<u64>,
     pub faults: FaultSpec,
-    /// Explicit telemetry ring request; `None` falls back to a 4 Mi-event
-    /// ring when an artifact needs capture.
+    /// The `--trace-out` ring's capacity in events; `None` falls back to
+    /// a 4 Mi-event ring. Nothing else captures.
     pub ring_capacity: Option<usize>,
     /// Bucket width of the trace's counter tracks; `None` falls back to
     /// [`UTILIZATION_BUCKET_PS`].
@@ -145,8 +146,8 @@ const MAX_SWEEP_CELLS: u128 = 1 << 12;
 /// allocates.
 const MAX_CELL_BUCKETS: u64 = 1 << 20;
 
-/// Events a strategy run's ring holds when the scenario names no
-/// `telemetry.ring_capacity`.
+/// Events a strategy run's `--trace-out` ring holds when the scenario
+/// names no `telemetry.ring_capacity`.
 const DEFAULT_RING: usize = 1 << 22;
 
 /// Most time-series cells (series × buckets, over all strategies) a
@@ -236,6 +237,20 @@ impl Scenario {
                 "scenario.traffic: only traffic scenarios use a traffic section".to_string(),
             );
         }
+        let t = &self.telemetry;
+        let ignored = match self.kind {
+            ScenarioKind::StrategyRun => None,
+            _ if t.ring_capacity.is_some() => Some(
+                "ring_capacity: only strategy-run scenarios record a trace ring (for --trace-out)",
+            ),
+            ScenarioKind::Traffic => None,
+            _ => t
+                .bucket_ps
+                .map(|_| "bucket_ps: only strategy-run and traffic scenarios bucket time series"),
+        };
+        if let Some(why) = ignored {
+            return Err(format!("scenario.telemetry.{why}"));
+        }
         if self.scheduling.hpus > MAX_HPUS {
             return Err(format!(
                 "scenario.scheduling.hpus: {} HPUs exceed the bound of {MAX_HPUS}",
@@ -296,7 +311,7 @@ impl Scenario {
                     seed0: self.sweep.seed0,
                     seeds: self.sweep.seeds,
                     scales: self.sweep.scales.clone(),
-                    ring_capacity: self.telemetry.ring_capacity.unwrap_or(1 << 20) as usize,
+                    ring_capacity: 1 << 20,
                 }))
             }
             ScenarioKind::Traffic => {
@@ -419,11 +434,12 @@ impl Plan {
 /// One datatype through every strategy plus the host and iovec
 /// baselines (`kind: "strategy-run"`).
 pub fn run_strategy(plan: &StrategyPlan, pool: &Pool, opts: &RunOptions) -> Outcome {
-    // Only the artifacts read a trace: per-strategy rings merged after
+    // Only `--trace-out` reads a trace: per-strategy rings merged after
     // the barrier reproduce exactly what one shared ring would capture
     // from the serial loop; per-strategy scopes keep the runs apart.
-    let capture =
-        (opts.want_trace || opts.want_report).then(|| plan.ring_capacity.unwrap_or(DEFAULT_RING));
+    let capture = opts
+        .want_trace
+        .then(|| plan.ring_capacity.unwrap_or(DEFAULT_RING));
 
     let mut exp = Experiment::new(
         plan.dt.clone(),
@@ -568,7 +584,7 @@ pub fn run_strategy(plan: &StrategyPlan, pool: &Pool, opts: &RunOptions) -> Outc
             strategies: sweep
                 .runs
                 .iter()
-                .map(|(s, run)| strategy_report(&exp, run, &events, s.label()))
+                .map(|(_, run)| strategy_report(&exp, run))
                 .collect(),
         };
         out.artifact = Some(Artifact {

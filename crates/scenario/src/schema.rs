@@ -11,6 +11,7 @@ use std::fmt::Write;
 
 use nca_core::runner::Strategy;
 use nca_spin::sched::QueueDiscipline;
+use nca_telemetry::report::{esc, fmt_f64};
 use nca_traffic::ArrivalKind;
 
 /// Schema version this build reads and writes.
@@ -138,11 +139,11 @@ impl Default for SchedulingSpec {
     }
 }
 
-/// Telemetry capture tuning; it never turns capture on. A strategy run
-/// captures a ring (4 Mi events unless `ring_capacity` says otherwise)
-/// only when a report or trace is requested, and `bucket_ps` sizes only
-/// its trace's counter tracks. Fault sweeps record no trace and ignore
-/// both knobs; traffic runs read only `bucket_ps`.
+/// Telemetry capture tuning; it never turns capture on. Only a strategy
+/// run's `--trace-out` captures: a ring of 4 Mi events unless
+/// `ring_capacity` says otherwise, with counter tracks bucketed at
+/// `bucket_ps`. Traffic runs read only `bucket_ps`, as the label of
+/// their utilization blocks. Every other kind refuses both keys.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TelemetrySpec {
     /// Ring capacity in events.
@@ -263,32 +264,6 @@ impl Scenario {
 }
 
 // ---------------------------------------------------------------- JSON out
-
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-pub(crate) fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string() // NaN/inf are not JSON; parsing treats them as 0
-    }
-}
 
 fn f64_list(vs: &[f64]) -> String {
     let items: Vec<String> = vs.iter().map(|&v| fmt_f64(v)).collect();

@@ -30,11 +30,6 @@ pub fn to_us(t: Time) -> f64 {
     t as f64 / 1e6
 }
 
-/// Picoseconds → fractional milliseconds (for reporting).
-pub fn to_ms(t: Time) -> f64 {
-    t as f64 / 1e9
-}
-
 /// A link/memory bandwidth, stored as picoseconds per byte (f64 to allow
 /// non-integral rates; serialization times are rounded to whole ps).
 #[derive(Debug, Clone, Copy, PartialEq)]

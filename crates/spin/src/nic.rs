@@ -27,17 +27,23 @@
 //! source hooks come from the same schedule, so observing a run never
 //! changes what runs.
 //!
+//! A receive whose results outlive it ([`MessageSource::RETAIN`], every
+//! [`ReceiveSim::run`]) keeps its attribution's stage intervals and its
+//! latency histograms where the NIC schedules the work, whatever the run
+//! observes ([`RunReport::stages`], [`RunReport::histograms`]).
+//!
 //! The *message processing time* reported is the paper's definition:
 //! from the first byte of the message arriving at the NIC to the last
 //! byte landing in the receive buffer (signalled by the completion
 //! handler's event-generating zero-byte DMA).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use nca_portals::event::{EventKind, EventQueue, FullEvent};
 use nca_portals::matching::{MatchOutcome, MatchingUnit};
 use nca_portals::packet::{packetize_wire, stamp_checksums, Packet};
 use nca_sim::{DeliveredCopy, FaultInjector, FaultSpec, PooledBuf, Sim, Time, WireBuf};
+use nca_telemetry::flight::{self, Attribution, Interval, Stage};
 use nca_telemetry::{hist::LogHistogram, probe::SimTelemetryProbe, Telemetry};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -177,6 +183,7 @@ struct RelState {
 }
 
 /// Everything a run produced.
+#[derive(Debug, PartialEq)]
 pub struct RunReport {
     /// Strategy name.
     pub strategy: &'static str,
@@ -211,10 +218,14 @@ pub struct RunReport {
     /// start, traced or not: vHPU `v` ran handlers for
     /// `hpu_busy_ps[v]` ps of the run.
     pub hpu_busy_ps: Vec<Time>,
-    /// The latency distributions the core accumulates while telemetry
-    /// is on, by metric name: `handler_ps`, `queue_wait_ps` and
-    /// `dma_service_ps`. Empty when telemetry is off.
+    /// The latency distributions the NIC accumulated over the run, by
+    /// metric name: `handler_ps`, `queue_wait_ps` and `dma_service_ps`.
     pub histograms: Vec<(&'static str, LogHistogram)>,
+    /// The stage intervals [`RunReport::attribution`] sweeps: wire,
+    /// inbound, queue wait and dispatch per packet, each payload handler
+    /// split by its [`HandlerCost`], the DMA engine's busy periods and
+    /// the completion drain.
+    pub stages: Vec<Interval>,
     /// DMA queue occupancy series (if recorded).
     pub dma_history: Vec<(Time, usize)>,
     /// Per-handler cost samples (payload handlers, dispatch order).
@@ -245,6 +256,12 @@ impl RunReport {
     /// Message processing time (paper definition).
     pub fn processing_time(&self) -> Time {
         self.t_complete - self.t_first_byte
+    }
+
+    /// The latency attribution of the processing window: every instant
+    /// charged to the highest-priority stage in flight.
+    pub fn attribution(&self) -> Attribution {
+        flight::sweep(&self.stages, self.t_first_byte, self.t_complete)
     }
 
     /// Receive throughput in Gbit/s over the processing time.
@@ -282,11 +299,12 @@ impl RunReport {
 /// the same simulator.
 pub trait MessageSource: Sized + 'static {
     /// Whether per-message results (receive buffer, handler costs,
-    /// completion time) outlive completion. A source that reads nothing
-    /// back sets this to `false`: the core then records no handler-cost
-    /// samples and frees a message's processor, packets and receive
-    /// buffer as soon as its completion write lands, so no packet of the
-    /// message may arrive after that (no duplicates or retransmissions).
+    /// completion time, stage intervals, histograms) outlive completion.
+    /// A source that reads nothing back sets this to `false`: the core
+    /// then records none of them and frees a message's processor,
+    /// packets and receive buffer as soon as its completion write lands,
+    /// so no packet of the message may arrive after that (no duplicates
+    /// or retransmissions).
     const RETAIN: bool = true;
 
     /// dFCFS steering hint for message `m`'s packets on `vhpu` (the
@@ -358,6 +376,9 @@ struct Message {
     host_buf: PooledBuf,
     host_origin: i64,
     arrived: u64,
+    /// When each packet entered its vHPU queue (empty unless a report
+    /// or a trace reads queue waits).
+    enq: Vec<Time>,
     /// Payload handlers not yet finished.
     pending: u64,
     completion_dispatched: bool,
@@ -458,17 +479,20 @@ pub struct Nic<S> {
     sched: Scheduler<u64>,
     dma: DmaEngine,
     tel: Telemetry,
-    /// (message, packet) → time it entered its vHPU queue (flight-
-    /// recorder bookkeeping; only populated when telemetry is enabled).
-    enq_time: HashMap<(usize, usize), Time>,
     done: Slots<DoneArgs>,
     /// Completion-handler writes, waiting out the handler's runtime.
     finals: Slots<Vec<DmaWrite>>,
-    /// Latency distributions accumulated over the run and emitted as
-    /// single `Hist` events at the end (they survive ring eviction).
+    /// What a report reads, kept only when `S::RETAIN`: the stage
+    /// intervals, the DMA busy period still growing (write starts never
+    /// decrease, so a write starting after its end closes it), the
+    /// latency distributions, and a DMA service time not yet recorded
+    /// with how many writes in a row took it.
+    stages: Vec<Interval>,
+    dma_busy: (Time, Time),
     hist_handler: LogHistogram,
     hist_queue_wait: LogHistogram,
     hist_dma: LogHistogram,
+    dma_run: (Time, u64),
     /// The strategy's static NIC-memory footprint.
     nic_mem: u64,
     /// Payload bytes currently resident in NIC memory (landed by the
@@ -500,12 +524,14 @@ impl<S: MessageSource> Nic<S> {
             params,
             msgs: Vec::new(),
             tel,
-            enq_time: HashMap::new(),
             done: Slots::new(),
             finals: Slots::new(),
+            stages: Vec::new(),
+            dma_busy: (0, 0),
             hist_handler: LogHistogram::new(),
             hist_queue_wait: LogHistogram::new(),
             hist_dma: LogHistogram::new(),
+            dma_run: (0, 0),
             nic_mem: 0,
             resident_payload: 0,
             resident_hwm: 0,
@@ -531,6 +557,11 @@ impl<S: MessageSource> Nic<S> {
         let m = self.msgs.len();
         let packets = packetize_wire(m as u64, packed, self.params.payload_size);
         let npkt = packets.len();
+        let waits = if S::RETAIN || self.tel.is_enabled() {
+            npkt
+        } else {
+            0
+        };
         self.msgs.push(Message {
             packets,
             bytes: packed.len() as u64,
@@ -538,6 +569,7 @@ impl<S: MessageSource> Nic<S> {
             host_buf: nca_sim::arena::take_zeroed(host_span as usize),
             host_origin,
             arrived: 0,
+            enq: vec![0; waits],
             pending: npkt as u64,
             completion_dispatched: false,
             t_complete: None,
@@ -645,6 +677,7 @@ impl<S: MessageSource> Nic<S> {
         let arrival = sim.now() + params_net + wire;
         self.tel
             .span("spin", "wire", 0, sim.now(), sim.now() + wire);
+        self.stage(sim.now(), sim.now() + wire, Stage::Wire);
         self.transmit(sim, idx, attempt + 1, arrival);
     }
 
@@ -689,6 +722,13 @@ impl<S: MessageSource> Nic<S> {
         self.packet_arrival(sim, 0, idx);
     }
 
+    /// A stage interval of the report's attribution.
+    fn stage(&mut self, start: Time, end: Time, stage: Stage) {
+        if S::RETAIN && start < end {
+            self.stages.push((start, end, stage));
+        }
+    }
+
     fn packet_arrival(&mut self, sim: &mut Sim<Self>, m: usize, idx: usize) {
         let now = sim.now();
         let st = &mut self.msgs[m];
@@ -721,6 +761,7 @@ impl<S: MessageSource> Nic<S> {
                 let inbound = self.params.nic_passthrough + self.params.nicmem_copy_time(hdr.len);
                 self.tel
                     .span("spin", "inbound", m as u64, now, now + inbound);
+                self.stage(now, now + inbound, Stage::Inbound);
                 sim.schedule_call_in(inbound, ev_her_ready::<S>, m as u64, idx as u64);
             }
             MsgPath::NonProcessing | MsgPath::Unexpected => {
@@ -763,7 +804,10 @@ impl<S: MessageSource> Nic<S> {
 
     fn her_ready(&mut self, sim: &mut Sim<Self>, m: usize, idx: usize) {
         let now = sim.now();
-        let st = &self.msgs[m];
+        let st = &mut self.msgs[m];
+        if let Some(t) = st.enq.get_mut(idx) {
+            *t = now;
+        }
         let pkt = &st.packets[idx];
         // The inbound engine has landed this payload in NIC memory:
         // charge it against the NIC-memory budget until its handler
@@ -780,9 +824,6 @@ impl<S: MessageSource> Nic<S> {
             (self.nic_mem + self.resident_payload) as f64,
         );
         let vhpu = st.proc.as_deref().expect(LIVE).policy().vhpu_of(pkt.seq);
-        if self.tel.is_enabled() {
-            self.enq_time.insert((m, idx), now);
-        }
         let hint = self.src.steer(m, vhpu);
         self.sched.enqueue(sched_key(m, vhpu), idx, hint);
         self.try_dispatch(sim);
@@ -794,18 +835,18 @@ impl<S: MessageSource> Nic<S> {
             let (m, vhpu) = ((key >> 32) as usize, key & 0xFFFF_FFFF);
             let dispatch = self.params.sched_dispatch;
             let now = sim.now();
-            // Only populated when telemetry is on; skip the hash when
-            // provably empty.
-            if !self.enq_time.is_empty() {
-                if let Some(enq) = self.enq_time.remove(&(m, idx)) {
+            if let Some(&enq) = self.msgs[m].enq.get(idx) {
+                if S::RETAIN {
                     self.hist_queue_wait.record(now - enq);
-                    if now > enq {
-                        self.tel.span("spin", "queue_wait", vhpu, enq, now);
-                    }
                 }
+                if now > enq {
+                    self.tel.span("spin", "queue_wait", vhpu, enq, now);
+                }
+                self.stage(enq, now, Stage::QueueWait);
             }
             self.tel.instant("spin", "dispatch", vhpu, now);
             self.tel.span("spin", "sched", vhpu, now, now + dispatch);
+            self.stage(now, now + dispatch, Stage::Dispatch);
             sim.schedule_call_in(
                 dispatch,
                 ev_run_handler::<S>,
@@ -832,12 +873,14 @@ impl<S: MessageSource> Nic<S> {
             direct: DirectDst::new(&mut st.host_buf, st.host_origin),
         };
         let out = st.proc.as_deref_mut().expect(LIVE).on_payload(&mut ctx);
+        let (c, runtime) = (out.cost, out.cost.total());
         if S::RETAIN {
-            st.handler_costs.push(out.cost);
-        }
-        let runtime = out.cost.total();
-        if self.tel.is_enabled() {
+            st.handler_costs.push(c);
             self.hist_handler.record(runtime);
+            let (a, b) = (now + c.init, now + c.init + c.setup);
+            self.stage(now, a, Stage::HandlerInit);
+            self.stage(a, b, Stage::HandlerSetup);
+            self.stage(b, now + runtime, Stage::HandlerProc);
         }
         self.tel.span("spin", "handler", vhpu, now, now + runtime);
         self.src.trace_handler(hpu, vhpu, now, runtime);
@@ -956,10 +999,24 @@ impl<S: MessageSource> Nic<S> {
         d.bytes += w.len;
         d.starts.push_back(start);
         let land = start + service + self.params.pcie_latency;
-        if observed {
-            if self.tel.is_enabled() {
-                self.hist_dma.record(service);
+        if S::RETAIN {
+            if self.dma_run.0 != service {
+                self.hist_dma.record_n(self.dma_run.0, self.dma_run.1);
+                self.dma_run = (service, 0);
             }
+            self.dma_run.1 += 1;
+            let (s, e) = self.dma_busy;
+            if start <= e {
+                self.dma_busy.1 = e.max(start + service);
+            } else {
+                self.stage(s, e, Stage::Dma);
+                self.dma_busy = (start, start + service);
+            }
+            if w.event {
+                self.stage(start + service, land, Stage::Drain);
+            }
+        }
+        if observed {
             // Busy-interval span on the channel's own track (the
             // Perfetto PCIe-utilization view).
             self.tel
@@ -997,6 +1054,7 @@ impl<S: MessageSource> Nic<S> {
         if !S::RETAIN {
             st.proc = None;
             st.packets = Vec::new();
+            st.enq = Vec::new();
             st.host_buf = PooledBuf::default();
         }
     }
@@ -1132,6 +1190,7 @@ impl ReceiveSim {
         for &pkt_idx in &order {
             let wire = params.pkt_wire_time(nic.msgs[0].packets[pkt_idx].len);
             nic.tel.span("spin", "wire", 0, t, t + wire);
+            nic.stage(t, t + wire, Stage::Wire);
             t += wire;
             slots.push((pkt_idx, t));
         }
@@ -1149,17 +1208,17 @@ impl ReceiveSim {
         nic.run(&mut sim);
 
         let t_complete = nic.msgs[0].t_complete.unwrap_or_else(|| sim.now());
-        // Emit the accumulated distributions as single mergeable events
-        // so percentiles survive however much the ring evicted.
-        let histograms = if nic.tel.is_enabled() {
-            vec![
-                ("handler_ps", std::mem::take(&mut nic.hist_handler)),
-                ("queue_wait_ps", std::mem::take(&mut nic.hist_queue_wait)),
-                ("dma_service_ps", std::mem::take(&mut nic.hist_dma)),
-            ]
-        } else {
-            Vec::new()
-        };
+        // Close the last DMA run and busy period, then emit the
+        // distributions as single mergeable events so percentiles survive
+        // however much the ring evicted.
+        nic.hist_dma.record_n(nic.dma_run.0, nic.dma_run.1);
+        let (s, e) = nic.dma_busy;
+        nic.stage(s, e, Stage::Dma);
+        let histograms = vec![
+            ("handler_ps", std::mem::take(&mut nic.hist_handler)),
+            ("queue_wait_ps", std::mem::take(&mut nic.hist_queue_wait)),
+            ("dma_service_ps", std::mem::take(&mut nic.hist_dma)),
+        ];
         for (name, h) in &histograms {
             nic.tel.histogram("spin", name, 0, t_complete, h);
         }
@@ -1189,6 +1248,7 @@ impl ReceiveSim {
             dma_chan_busy_ps: nic.dma_chan_busy_ps(),
             hpu_busy_ps: std::mem::take(&mut nic.src.hpu_busy),
             histograms,
+            stages: std::mem::take(&mut nic.stages),
             dma_history: nic.dma.history.take().unwrap_or_default(),
             handler_costs: msg.handler_costs,
             nic_mem_bytes: nic_mem,

@@ -165,11 +165,6 @@ pub fn gauge_series(events: &[TraceEvent], component: &str, name: &str) -> Vec<(
         .collect()
 }
 
-/// Keep only events carrying `scope` (see [`crate::Telemetry::scoped`]).
-pub fn filter_scope<'a>(events: &'a [TraceEvent], scope: &str) -> Vec<&'a TraceEvent> {
-    events.iter().filter(|ev| ev.scope == scope).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

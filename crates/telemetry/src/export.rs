@@ -18,28 +18,10 @@
 //! anyway.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
+use crate::report::esc;
 use crate::streaming::StreamAggregate;
 use crate::{EventKind, Time, TraceEvent};
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn ts_us(t: Time) -> f64 {
     t as f64 / 1e6

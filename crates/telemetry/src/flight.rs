@@ -1,18 +1,21 @@
-//! Flight recorder: stitch a run's raw spans into an attributed
-//! latency breakdown.
+//! Flight recorder: an attributed latency breakdown of one receive.
 //!
-//! The receive pipeline emits overlapping spans on many tracks (wire
+//! The receive pipeline keeps overlapping activity on many tracks (wire
 //! serialization, inbound copies, per-vHPU queue waits and handler
-//! executions, per-channel DMA transfers). [`attribute`] sweeps them
-//! into a single exhaustive partition of the end-to-end window
-//! `[t_start, t_end]`: every instant is charged to exactly one
+//! executions, per-channel DMA transfers). [`sweep`] folds those stage
+//! intervals into a single exhaustive partition of the end-to-end
+//! window `[t_start, t_end]`: every instant is charged to exactly one
 //! [`Stage`], the highest-priority activity in flight at that time
 //! (compute beats data movement beats scheduling beats the network).
 //! By construction the per-stage totals sum to *exactly* the window
 //! length, which is what makes the run-report "attribution adds up"
 //! invariant testable.
 //!
-//! Handler spans are subdivided into init/setup/processing using the
+//! A run keeps its own intervals where the NIC schedules the work
+//! (`nca_spin::nic::RunReport::attribution`). [`attribute`] maps a
+//! run's `spin` trace spans to the same intervals and sweeps them: the
+//! trace-side reference a run's attribution is tested against. There,
+//! handler spans are subdivided into init/setup/processing using the
 //! `t_init`/`t_setup` phase observations the strategies emit at the
 //! span's start time on the same vHPU track; a handler span without
 //! phase data counts wholly as [`Stage::HandlerProc`].
@@ -80,7 +83,7 @@ impl Stage {
     }
 
     fn index(self) -> usize {
-        Stage::ALL.iter().position(|&s| s == self).expect("in ALL")
+        self as usize
     }
 }
 
@@ -136,10 +139,12 @@ fn span_stage(ev: &TraceEvent) -> Option<Stage> {
     })
 }
 
-/// Attribute the window `[t_start, t_end]` across `events` (pre-filter
-/// by scope when several runs share a sink). Every instant of the
-/// window lands in exactly one stage, so the totals always sum to
-/// `t_end - t_start`.
+/// One stretch of a stage's activity, `[start, end)` in ps.
+pub type Interval = (Time, Time, Stage);
+
+/// The trace-side reference: attribute the window `[t_start, t_end]`
+/// across the `spin` spans of `events` (pre-filter by scope when several
+/// runs share a sink), mapped to stage intervals and [`sweep`]ed.
 pub fn attribute(events: &[TraceEvent], t_start: Time, t_end: Time) -> Attribution {
     // Handler phase observations, keyed by (vHPU track, span start).
     let mut phases: HashMap<(u64, Time), (Time, Time)> = HashMap::new();
@@ -157,7 +162,7 @@ pub fn attribute(events: &[TraceEvent], t_start: Time, t_end: Time) -> Attributi
         }
     }
 
-    let mut intervals: Vec<(Time, Time, Stage)> = Vec::new();
+    let mut intervals = Vec::new();
     for ev in events {
         let EventKind::Span { end } = ev.kind else {
             continue;
@@ -177,11 +182,17 @@ pub fn attribute(events: &[TraceEvent], t_start: Time, t_end: Time) -> Attributi
         }
         intervals.push((ev.time, end, stage));
     }
+    sweep(&intervals, t_start, t_end)
+}
 
+/// Attribute the window `[t_start, t_end]` across `intervals`. Every
+/// instant of the window lands in exactly one stage, so the totals
+/// always sum to `t_end - t_start`.
+pub fn sweep(intervals: &[Interval], t_start: Time, t_end: Time) -> Attribution {
     // Boundary sweep: at each instant the highest-priority active
     // stage wins; stretches with nothing active are Idle.
     let mut bounds: Vec<(Time, usize, i64)> = Vec::new();
-    for (s, e, stage) in intervals {
+    for &(s, e, stage) in intervals {
         let (s, e) = (s.max(t_start), e.min(t_end));
         if s < e {
             bounds.push((s, stage.index(), 1));

@@ -314,7 +314,9 @@ impl RunReportDoc {
 
 // ---------------------------------------------------------------- JSON out
 
-fn esc(s: &str) -> String {
+/// `s` escaped for a JSON string literal (no surrounding quotes): the
+/// one escaper every hand-rendered artifact, trace and scenario uses.
+pub fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -332,11 +334,14 @@ fn esc(s: &str) -> String {
     out
 }
 
-fn fmt_f64(v: f64) -> String {
+/// `v` as a JSON number: Rust's shortest round-trip form, and `0` for
+/// NaN and infinities, which JSON cannot hold (readers treat them as
+/// absent).
+pub fn fmt_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {
-        "0".to_string() // NaN/inf are not JSON; reports treat them as absent
+        "0".to_string()
     }
 }
 

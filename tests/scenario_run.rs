@@ -3,9 +3,9 @@
 //! and runs; the `traffic`, `ddt-host-compare`, `fault-sweep` and
 //! strategy-run scenarios reproduce their committed goldens
 //! byte-for-byte; scenario runs and the strategy-run trace stay
-//! byte-identical at any worker count; only a report's attribution
-//! depends on the trace ring's size; and inputs a run could not finish
-//! are rejected, promptly, with a path-qualified error.
+//! byte-identical at any worker count; no report depends on the trace
+//! ring's size; and inputs a run could not finish, or telemetry keys a
+//! kind ignores, are rejected, promptly, with a path-qualified error.
 
 use std::sync::mpsc;
 use std::time::Duration;
@@ -173,24 +173,6 @@ fn regenerate_golden_fault_sweep() {
     std::fs::write(&path, out.artifact.expect("artifact").text).expect("write golden");
 }
 
-#[test]
-fn fault_sweep_artifact_does_not_depend_on_the_ring_capacity() {
-    // Recovery counts once came from a per-cell trace ring: with 1000
-    // events HPU-local read 0 and 224 catch-up blocks instead of 5760
-    // and 6000, with exit 0.
-    let artifact = |sets: &[&str]| {
-        let out = shipped_with("fault_sweep.json", sets)
-            .run(&Pool::from_env(None), &RunOptions::default());
-        assert!(out.fail.is_none(), "{sets:?}: {:?}", out.fail);
-        out.artifact.expect("fault-sweep artifact").text
-    };
-    assert_eq!(
-        artifact(&["telemetry.ring_capacity=1000"]),
-        artifact(&[]),
-        "a 1000-event ring changed the fault-sweep artifact"
-    );
-}
-
 const REPORT_ONLY: RunOptions = RunOptions {
     want_trace: false,
     want_report: true,
@@ -212,76 +194,68 @@ fn strategy_run_report_reproduces_the_ci_baseline_golden() {
 
 #[test]
 fn strategy_report_fault_blocks_do_not_depend_on_the_ring_capacity() {
-    let report = |ring: u64| {
+    // A report once attributed from a captured ring: at 1000 events
+    // Specialized, RW-CP and RO-CP read 100% idle under this fault mix.
+    // A report-only run captures nothing, so the ring size cannot reach
+    // it; `--trace-out` captures, and changes only the drop count.
+    let run = |ring: u64, opts: RunOptions| {
         let set = format!("telemetry.ring_capacity={ring}");
         let plan = shipped_with(
             "strategy_run.json",
             &["faults.drop=0.05", "faults.duplicate=0.02", &set],
         );
-        let out = plan.run(&Pool::from_env(None), &REPORT_ONLY);
-        Json::parse(&out.artifact.expect("run report").text).expect("report parses")
+        let out = plan.run(&Pool::from_env(None), &opts);
+        (out.warn, out.artifact.expect("run report").text)
     };
-    let dropped = |doc: &Json| doc.get("trace_dropped_events").and_then(Json::as_f64);
-    let faults = |doc: &Json| -> Vec<(String, Json)> {
-        doc.get("strategies")
-            .and_then(Json::as_arr)
-            .expect("strategies")
-            .iter()
-            .map(|s| {
-                let name = s.get("name").and_then(Json::as_str).expect("name");
-                (name.to_string(), s.get("faults").expect("faults").clone())
-            })
+    let (warn, small) = run(1000, REPORT_ONLY);
+    let (_, large) = run(1 << 22, REPORT_ONLY);
+    assert_eq!(warn, None, "a report-only run warned of a trace ring");
+    assert_eq!(small, large, "the ring size changed a report-only run");
+    let traced = RunOptions {
+        want_trace: true,
+        want_report: true,
+    };
+    let (warn, traced) = run(1000, traced);
+    assert!(warn.is_some(), "the small trace ring dropped silently");
+    let doc = |text: &str| match Json::parse(text).expect("report parses") {
+        Json::Obj(m) => m,
+        other => panic!("not an object: {other:?}"),
+    };
+    let (traced, large) = (doc(&traced), doc(&large));
+    let dropped = |m: &[(String, Json)]| -> Option<f64> {
+        let (_, v) = m.iter().find(|(k, _)| k == "trace_dropped_events")?;
+        v.as_f64()
+    };
+    assert!(dropped(&traced) > Some(0.0), "the small ring must drop");
+    assert_eq!(dropped(&large), Some(0.0));
+    let without_drops = |m: &[(String, Json)]| -> Vec<(String, Json)> {
+        m.iter()
+            .filter(|(k, _)| k != "trace_dropped_events")
+            .cloned()
             .collect()
     };
-    let small = report(1000);
-    let large = report(1 << 22);
-    assert!(dropped(&small) > Some(0.0), "the small ring must drop");
-    assert_eq!(dropped(&large), Some(0.0));
-    // Every field the run counts is the same whatever the ring kept:
-    // only the attribution and the drop count read the trace.
-    let without = |doc: &Json, keys: &[&str]| -> Vec<(String, Json)> {
-        match doc {
-            Json::Obj(m) => m
-                .iter()
-                .filter(|(k, _)| !keys.contains(&k.as_str()))
-                .cloned()
-                .collect(),
-            other => panic!("not an object: {other:?}"),
-        }
-    };
-    let strategies = |doc: &Json| {
-        doc.get("strategies")
-            .and_then(Json::as_arr)
-            .map(<[Json]>::to_vec)
-    };
-    let doc_keys = ["trace_dropped_events", "strategies"];
-    assert_eq!(without(&small, &doc_keys), without(&large, &doc_keys));
-    let (s_small, s_large) = (
-        strategies(&small).expect("strategies"),
-        strategies(&large).expect("strategies"),
+    assert_eq!(
+        without_drops(&traced),
+        without_drops(&large),
+        "a dropping trace ring changed a report field"
     );
-    assert_eq!(s_small.len(), s_large.len());
-    for (s, l) in s_small.iter().zip(&s_large) {
-        assert_eq!(
-            without(s, &["attribution"]),
-            without(l, &["attribution"]),
-            "a dropping ring changed a counted field of {:?}",
-            l.get("name")
-        );
-    }
-    let (small, large) = (faults(&small), faults(&large));
-    assert_eq!(small.len(), 4);
-    assert_eq!(small, large, "a dropping ring changed a faults block");
     // Exact, not merely equal. 32 packets of 16 blocks on 16 vHPUs:
     // vHPU k first walks the 16k blocks before packet k, then the 240
     // between packets k and k + 16, so 1920 + 3840 = 5760.
-    let hpu_local = &large
+    let strategies = large
         .iter()
-        .find(|(n, _)| n == "HPU-local")
-        .expect("HPU-local")
-        .1;
+        .find(|(k, _)| k == "strategies")
+        .and_then(|(_, v)| v.as_arr())
+        .expect("strategies");
+    assert_eq!(strategies.len(), 4);
+    let hpu_local = strategies
+        .iter()
+        .find(|s| s.get("name").and_then(Json::as_str) == Some("HPU-local"))
+        .expect("HPU-local");
     assert_eq!(
-        hpu_local.get("catchup_blocks").and_then(Json::as_f64),
+        hpu_local
+            .path("faults.catchup_blocks")
+            .and_then(Json::as_f64),
         Some(5760.0)
     );
 }
@@ -551,6 +525,22 @@ fn hpus_and_sweep_cells_are_bounded() {
     .expect("at the bound");
     compile_watched("fault_sweep.json", &["sweep.seeds=1365"]).expect("4095 cells");
     assert_rejected("fault_sweep.json", &["sweep.seeds=1366"], "scenario.sweep");
+}
+
+#[test]
+fn telemetry_keys_a_kind_ignores_are_refused_with_their_path() {
+    // A fault sweep once accepted `telemetry.ring_capacity` and recorded
+    // no trace; only a strategy run's `--trace-out` reads a ring, and
+    // only strategy-run traces and traffic cells bucket time series.
+    let ring = "telemetry.ring_capacity=1000";
+    let bucket = "telemetry.bucket_ps=5000";
+    for name in ["fault_sweep.json", "fig16.json", "ddt_host_compare.json"] {
+        assert_rejected(name, &[ring], "scenario.telemetry.ring_capacity");
+        assert_rejected(name, &[bucket], "scenario.telemetry.bucket_ps");
+    }
+    assert_rejected("traffic.json", &[ring], "scenario.telemetry.ring_capacity");
+    compile_watched("traffic.json", &[bucket]).expect("traffic reads bucket_ps");
+    compile_watched("strategy_run.json", &[ring, bucket]).expect("a strategy run reads both");
 }
 
 #[test]

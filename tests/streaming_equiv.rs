@@ -172,8 +172,8 @@ fn nic_mem_hwm_is_per_job_at_jobs_4() {
         .zip(&parallel.runs)
         .zip(slice_folds(&parallel))
         .map(|(((s, run_s), (_, run_p)), (label, _, agg))| {
-            let rs = strategy_report(&exp, run_s, &serial.events, s.label());
-            let rp = strategy_report(&exp, run_p, &parallel.events, label);
+            let (rs, rp) = (strategy_report(&exp, run_s), strategy_report(&exp, run_p));
+            assert_eq!(s.label(), label);
             assert_eq!(rs.nic_mem_hwm_bytes, rp.nic_mem_hwm_bytes, "{label}");
             assert_eq!(
                 agg.gauge_hwm("spin", "nic_mem_bytes"),
