@@ -147,13 +147,13 @@ fn profile_artifact_phase_totals_tile_the_wall_clock() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// Bad arguments, rejected overrides and inputs over a compile-time
-/// bound all exit 2 with a message naming the culprit; the legacy flag
-/// subcommands are gone.
+/// Bad arguments, rejected overrides, keys a kind would ignore and
+/// inputs over a compile-time bound all exit 2 with a message naming
+/// the culprit; the legacy flag subcommands are gone.
 #[test]
 fn run_rejects_bad_input_with_exit_2() {
     let traffic = STRATEGY_RUN.replace("strategy_run.json", "traffic.json");
-    let cases: [(Vec<&str>, &str); 6] = [
+    let cases: [(Vec<&str>, &str); 10] = [
         (
             vec!["run", STRATEGY_RUN, "--set", "workload.cuont=5"],
             "scenario.workload.cuont: unknown key",
@@ -176,6 +176,22 @@ fn run_rejects_bad_input_with_exit_2() {
         (
             vec!["run", &traffic, "--set", "traffic.tenants=100000000"],
             "scenario.traffic.tenants",
+        ),
+        (
+            vec!["run", &traffic, "--set", "faults.drop=0.2"],
+            "scenario.faults: traffic scenarios inject no network faults",
+        ),
+        (
+            vec!["run", &traffic, "--set", "scheduling.out_of_order=7"],
+            "scenario.scheduling.out_of_order: traffic scenarios",
+        ),
+        (
+            vec!["run", &traffic, "--set", "scheduling.epsilon=0.05"],
+            "scenario.scheduling.epsilon: traffic cells commit",
+        ),
+        (
+            vec!["run", &traffic, "--set", "scheduling.copies=4"],
+            "scenario.scheduling.copies: traffic scenarios",
         ),
         (
             vec!["run", STRATEGY_RUN, "--count", "5"],

@@ -160,14 +160,10 @@ impl OffloadManager {
             self.tel.counter("core", "reuse_hits", 0, self.clock, 1);
             return PostOutcome::Offloaded(ddt.strategy);
         }
-        let proc_ = ddt.strategy.build(
-            &ddt.dt,
-            count,
-            self.params.clone(),
-            ddt.attr.epsilon,
-            Telemetry::disabled(),
-        );
-        let bytes = proc_.nic_mem_bytes();
+        let bytes = ddt
+            .strategy
+            .commit(&ddt.dt, count, self.params.clone(), ddt.attr.epsilon)
+            .nic_mem_bytes();
         loop {
             if let Some(alloc) = self.nicmem.alloc(bytes) {
                 self.resident.insert(

@@ -17,7 +17,7 @@ use nca_telemetry::{merge_ring_events, RingRecorder, Telemetry, TraceEvent};
 use crate::baselines::{host_unpack, iovec_offload, BaselineReport};
 use crate::costmodel::{HandlerCycles, HostCostModel};
 use crate::heuristic::CheckpointPlan;
-use crate::strategies::{estimate_t_ph, GeneralKind, GeneralProcessor, SpecializedProcessor};
+use crate::strategies::{estimate_t_ph, Commit, GeneralKind};
 
 /// Which receive method to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,8 +51,22 @@ impl Strategy {
         }
     }
 
-    /// Instantiate a processor for `count` copies of `dt`. Pass
-    /// `Telemetry::disabled()` when no trace is wanted.
+    /// Commit to `count` copies of `dt`: build the read-only part of
+    /// the receive (dataloop, Δr plan, checkpoint table, shape, NIC
+    /// bytes, host setup time) once, for any number of processors.
+    /// `epsilon` is the Δr heuristic's scheduling-overhead bound.
+    pub fn commit(&self, dt: &Datatype, count: u32, params: NicParams, epsilon: f64) -> Commit {
+        let kind = match self {
+            Strategy::Specialized => return Commit::specialized(dt, count, params),
+            Strategy::HpuLocal => GeneralKind::HpuLocal,
+            Strategy::RoCp => GeneralKind::RoCp,
+            Strategy::RwCp => GeneralKind::RwCp,
+        };
+        Commit::general(kind, dt, count, params, epsilon)
+    }
+
+    /// Commit to `count` copies of `dt` and instantiate one processor.
+    /// Pass `Telemetry::disabled()` when no trace is wanted.
     pub fn build(
         &self,
         dt: &Datatype,
@@ -61,32 +75,8 @@ impl Strategy {
         epsilon: f64,
         telemetry: Telemetry,
     ) -> Box<dyn MessageProcessor> {
-        self.build_with_plan(dt, count, params, epsilon, telemetry)
-            .0
-    }
-
-    /// [`Strategy::build`], also returning the Δr plan the processor
-    /// committed to (RO-CP/RW-CP only).
-    pub fn build_with_plan(
-        &self,
-        dt: &Datatype,
-        count: u32,
-        params: NicParams,
-        epsilon: f64,
-        telemetry: Telemetry,
-    ) -> (Box<dyn MessageProcessor>, Option<CheckpointPlan>) {
-        let kind = match self {
-            Strategy::Specialized => {
-                let sp = SpecializedProcessor::new(dt, count, params).with_telemetry(telemetry);
-                return (Box::new(sp), None);
-            }
-            Strategy::HpuLocal => GeneralKind::HpuLocal,
-            Strategy::RoCp => GeneralKind::RoCp,
-            Strategy::RwCp => GeneralKind::RwCp,
-        };
-        let gp = GeneralProcessor::new(kind, dt, count, params, epsilon);
-        let plan = gp.plan().copied();
-        (Box::new(gp.with_telemetry(telemetry)), plan)
+        self.commit(dt, count, params, epsilon)
+            .instantiate(telemetry)
     }
 }
 
@@ -193,17 +183,11 @@ impl Experiment {
     pub fn run_modeled(&self, strategy: Strategy) -> ModeledRun {
         let dl = compile_cached(&self.dt, self.count);
         let t_ph_predicted = estimate_t_ph(&self.params, &HandlerCycles::default(), &dl);
-        let (proc_, plan) = strategy.build_with_plan(
-            &self.dt,
-            self.count,
-            self.params.clone(),
-            self.epsilon,
-            self.telemetry.clone(),
-        );
-        let report = self.execute(strategy, proc_);
+        let commit = strategy.commit(&self.dt, self.count, self.params.clone(), self.epsilon);
+        let report = self.execute(strategy, commit.instantiate(self.telemetry.clone()));
         ModeledRun {
             report,
-            plan,
+            plan: commit.plan().copied(),
             t_ph_predicted,
         }
     }

@@ -11,6 +11,12 @@
 //! Both implement `nca_spin::MessageProcessor`: they *really* scatter the
 //! packet bytes (so end-to-end tests can verify the receive buffer) and
 //! report modelled costs per the calibrated [`crate::costmodel`].
+//!
+//! Each processor is a [`Commit`] shared through an `Arc` — what the host
+//! prepares once per datatype: dataloop, Δr plan, checkpoint table,
+//! shape, NIC bytes, host setup time — plus one message's state:
+//! segments, DMA scratch and recovery counters. No receive writes to a
+//! commit, so any number of messages may instantiate processors of one.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -22,7 +28,9 @@ use nca_ddt::normalize::{classify, Shape};
 use nca_ddt::segment::Segment;
 use nca_ddt::types::Datatype;
 use nca_sim::Time;
-use nca_spin::handler::{HandlerOutput, MessageProcessor, PacketCtx, RecoveryStats, SchedPolicy};
+use nca_spin::handler::{
+    DmaWrite, HandlerOutput, MessageProcessor, PacketCtx, RecoveryStats, SchedPolicy,
+};
 use nca_spin::params::NicParams;
 use nca_telemetry::Telemetry;
 
@@ -87,39 +95,27 @@ pub fn estimate_t_ph(p: &NicParams, cyc: &HandlerCycles, dl: &Dataloop) -> Time 
     p.cycles(cyc.init + cyc.setup + gamma * cyc.block_general)
 }
 
-/// The general (MPITypes-interpreting) processor.
-pub struct GeneralProcessor {
+/// What a general-handler strategy fixes once per (datatype, count)
+/// and shares, read-only, with every message it receives: the dataloop,
+/// the Δr plan and checkpoint table (RO-CP/RW-CP), the scheduling
+/// policy, the NIC bytes and the host setup time. The host builds it
+/// once per datatype, as the paper's checkpoint creation does (Fig. 18).
+struct GeneralCommit {
     kind: GeneralKind,
     params: NicParams,
     cyc: HandlerCycles,
-    host: HostCostModel,
     dl: Arc<Dataloop>,
     table: Option<CheckpointTable>,
     plan: Option<CheckpointPlan>,
-    /// Per-vHPU working segments (HPU-local replicas / RW-CP owned
-    /// checkpoints).
-    segs: SmallKeyMap<Segment>,
-    /// Recycled DMA-write vectors ([`MessageProcessor::recycle_dma`]).
-    scratch: Vec<Vec<nca_spin::handler::DmaWrite>>,
-    npkt: u64,
-    /// Times an RW-CP checkpoint had to be reverted from its master copy
-    /// (out-of-order arrivals).
-    reverts: u64,
-    /// Catch-up blocks summed over every handler call.
-    catchup_blocks: u64,
-    tel: Telemetry,
+    policy: SchedPolicy,
+    nic_mem: u64,
+    host_setup: Time,
 }
 
-impl GeneralProcessor {
-    /// Build for `count` copies of `dt`. `epsilon` is the scheduling-
-    /// overhead bound of the Δr heuristic (the paper uses 0.2).
-    pub fn new(
-        kind: GeneralKind,
-        dt: &Datatype,
-        count: u32,
-        params: NicParams,
-        epsilon: f64,
-    ) -> Self {
+impl GeneralCommit {
+    /// Commit to `count` copies of `dt` with the Δr heuristic's
+    /// scheduling-overhead bound `epsilon`.
+    fn new(kind: GeneralKind, dt: &Datatype, count: u32, params: NicParams, epsilon: f64) -> Self {
         let dl = compile_cached(dt, count);
         let cyc = HandlerCycles::default();
         let npkt = dl.size.div_ceil(params.payload_size).max(1);
@@ -133,17 +129,88 @@ impl GeneralProcessor {
                 (Some(table), Some(plan))
             }
         };
-        GeneralProcessor {
+        let policy = match (kind, &plan) {
+            (GeneralKind::HpuLocal, _) => SchedPolicy::BlockedRR {
+                delta_p: 1,
+                num_vhpus: params.hpus as u64,
+            },
+            (GeneralKind::RwCp, Some(plan)) => SchedPolicy::BlockedRR {
+                delta_p: plan.delta_p,
+                num_vhpus: npkt.div_ceil(plan.delta_p).max(1),
+            },
+            _ => SchedPolicy::Default,
+        };
+        // Copy the dataloop descriptor to the NIC; the checkpointed
+        // variants also create their checkpoints on the host.
+        let descr = dl.nic_descr_bytes();
+        let ncp = table.as_ref().map_or(0, |t| t.len() as u64);
+        let (nic_mem, host_setup) = match kind {
+            GeneralKind::HpuLocal => (
+                descr + params.hpus as u64 * nca_ddt::checkpoint::CHECKPOINT_NIC_BYTES,
+                params.pcie_bw.time_for(descr) + params.pcie_latency,
+            ),
+            GeneralKind::RoCp | GeneralKind::RwCp => (
+                descr + table.as_ref().map_or(0, |t| t.nic_bytes()),
+                params.pcie_bw.time_for(descr)
+                    + params.pcie_latency
+                    + ncp * HostCostModel::default().checkpoint_create_time(),
+            ),
+        };
+        GeneralCommit {
             kind,
             params,
             cyc,
-            host: HostCostModel::default(),
             dl,
             table,
             plan,
+            policy,
+            nic_mem,
+            host_setup,
+        }
+    }
+}
+
+/// The general (MPITypes-interpreting) processor: its strategy's
+/// committed part, shared with every processor of the same [`Commit`],
+/// plus one message's state — the per-vHPU segments, the DMA scratch
+/// and the recovery counters.
+pub struct GeneralProcessor {
+    c: Arc<GeneralCommit>,
+    /// Per-vHPU working segments (HPU-local replicas / RW-CP owned
+    /// checkpoints).
+    segs: SmallKeyMap<Segment>,
+    /// Recycled DMA-write vectors ([`MessageProcessor::recycle_dma`]).
+    scratch: Vec<Vec<DmaWrite>>,
+    /// Times an RW-CP checkpoint had to be reverted from its master copy
+    /// (out-of-order arrivals).
+    reverts: u64,
+    /// Catch-up blocks summed over every handler call.
+    catchup_blocks: u64,
+    tel: Telemetry,
+}
+
+impl GeneralProcessor {
+    /// Commit to `count` copies of `dt` and instantiate one processor.
+    /// `epsilon` is the scheduling-overhead bound of the Δr heuristic
+    /// (the paper uses 0.2).
+    pub fn new(
+        kind: GeneralKind,
+        dt: &Datatype,
+        count: u32,
+        params: NicParams,
+        epsilon: f64,
+    ) -> Self {
+        Self::instantiate(Arc::new(GeneralCommit::new(
+            kind, dt, count, params, epsilon,
+        )))
+    }
+
+    /// A processor for one message of `commit`.
+    fn instantiate(commit: Arc<GeneralCommit>) -> Self {
+        GeneralProcessor {
+            c: commit,
             segs: SmallKeyMap::default(),
             scratch: Vec::new(),
-            npkt,
             reverts: 0,
             catchup_blocks: 0,
             tel: Telemetry::disabled(),
@@ -154,7 +221,7 @@ impl GeneralProcessor {
     /// (a host-side "time 0" activity) immediately, then handler-phase
     /// timings, catch-up blocks and RW-CP reverts as packets arrive.
     pub fn with_telemetry(mut self, tel: Telemetry) -> Self {
-        if let Some(table) = &self.table {
+        if let Some(table) = &self.c.table {
             tel.counter("core", "checkpoints_created", 0, 0, table.len() as u64);
             for i in 0..table.len() as u64 {
                 tel.instant("core", "checkpoint_create", i, 0);
@@ -166,96 +233,71 @@ impl GeneralProcessor {
 
     /// The Δr plan (RO-CP/RW-CP only).
     pub fn plan(&self) -> Option<&CheckpointPlan> {
-        self.plan.as_ref()
+        self.c.plan.as_ref()
     }
+}
 
-    fn record_phases(&self, ctx: &PacketCtx<'_>, out: &HandlerOutput) {
-        if self.tel.is_enabled() {
-            let c = &out.cost;
-            self.tel
-                .value("core", "t_init", ctx.vhpu, ctx.now, c.init as f64);
-            self.tel
-                .value("core", "t_setup", ctx.vhpu, ctx.now, c.setup as f64);
-            self.tel.value(
-                "core",
-                "t_processing",
-                ctx.vhpu,
-                ctx.now,
-                c.processing as f64,
-            );
-        }
+/// Emit a handler's phase timings (`t_init`, `t_setup`, `t_processing`).
+fn record_phases(tel: &Telemetry, ctx: &PacketCtx<'_>, out: &HandlerOutput) {
+    if tel.is_enabled() {
+        let c = &out.cost;
+        tel.value("core", "t_init", ctx.vhpu, ctx.now, c.init as f64);
+        tel.value("core", "t_setup", ctx.vhpu, ctx.now, c.setup as f64);
+        tel.value(
+            "core",
+            "t_processing",
+            ctx.vhpu,
+            ctx.now,
+            c.processing as f64,
+        );
+    }
+}
+
+/// Keep an emptied DMA-write vector for the next handler invocation.
+fn recycle(pool: &mut Vec<Vec<DmaWrite>>, mut scratch: Vec<DmaWrite>) {
+    scratch.clear();
+    if pool.len() < MAX_SCRATCH {
+        pool.push(scratch);
     }
 }
 
 impl MessageProcessor for GeneralProcessor {
     fn policy(&self) -> SchedPolicy {
-        match self.kind {
-            GeneralKind::HpuLocal => SchedPolicy::BlockedRR {
-                delta_p: 1,
-                num_vhpus: self.params.hpus as u64,
-            },
-            GeneralKind::RoCp => SchedPolicy::Default,
-            GeneralKind::RwCp => {
-                let plan = self.plan.as_ref().expect("RW-CP has a plan");
-                SchedPolicy::BlockedRR {
-                    delta_p: plan.delta_p,
-                    num_vhpus: self.npkt.div_ceil(plan.delta_p).max(1),
-                }
-            }
-        }
+        self.c.policy
     }
 
     fn nic_mem_bytes(&self) -> u64 {
-        let descr = self.dl.nic_descr_bytes();
-        match self.kind {
-            GeneralKind::HpuLocal => {
-                descr + self.params.hpus as u64 * nca_ddt::checkpoint::CHECKPOINT_NIC_BYTES
-            }
-            GeneralKind::RoCp | GeneralKind::RwCp => {
-                descr + self.table.as_ref().map(|t| t.nic_bytes()).unwrap_or(0)
-            }
-        }
+        self.c.nic_mem
     }
 
     fn host_setup_time(&self) -> Time {
-        match self.kind {
-            GeneralKind::HpuLocal => {
-                // Copy the dataloop descriptor to the NIC.
-                self.params.pcie_bw.time_for(self.dl.nic_descr_bytes()) + self.params.pcie_latency
-            }
-            GeneralKind::RoCp | GeneralKind::RwCp => {
-                let n = self.table.as_ref().map(|t| t.len() as u64).unwrap_or(0);
-                self.params.pcie_bw.time_for(self.dl.nic_descr_bytes())
-                    + self.params.pcie_latency
-                    + n * self.host.checkpoint_create_time()
-            }
-        }
+        self.c.host_setup
     }
 
     fn on_payload(&mut self, ctx: &mut PacketCtx<'_>) -> HandlerOutput {
         let first = ctx.stream_offset;
         let scratch = self.scratch.pop().unwrap_or_default();
         let direct = &mut ctx.direct;
+        let c = &*self.c;
         // `ckpt_copy`: the handler paid for materializing a checkpoint.
-        let (dma, stats, ckpt_copy) = match self.kind {
+        let (dma, stats, ckpt_copy) = match c.kind {
             GeneralKind::HpuLocal => {
-                let dl = Arc::clone(&self.dl);
                 let seg = self
                     .segs
                     .entry(ctx.vhpu)
-                    .or_insert_with(|| Segment::new(dl));
+                    .or_insert_with(|| Segment::new(Arc::clone(&c.dl)));
                 let (dma, stats) = scatter_packet(seg, first, ctx.payload, scratch, direct);
                 (dma, stats, false)
             }
             GeneralKind::RoCp => {
                 // Copy the closest checkpoint, process locally, discard.
-                let table = self.table.as_ref().expect("RO-CP table");
+                let table = c.table.as_ref().expect("RO-CP table");
                 let mut seg = table.closest(first).materialize();
                 let (dma, stats) = scatter_packet(&mut seg, first, ctx.payload, scratch, direct);
                 (dma, stats, true)
             }
             GeneralKind::RwCp => {
-                let table = self.table.as_ref().expect("RW-CP table");
+                let table = c.table.as_ref().expect("RW-CP table");
                 let mut reverted = false;
                 let seg = match self.segs.entry(ctx.vhpu) {
                     std::collections::hash_map::Entry::Occupied(e) => {
@@ -294,18 +336,15 @@ impl MessageProcessor for GeneralProcessor {
             stats.catchup_blocks,
         );
         let out = HandlerOutput {
-            cost: general_handler_cost(&self.params, &self.cyc, &stats, ckpt_copy),
+            cost: general_handler_cost(&c.params, &c.cyc, &stats, ckpt_copy),
             dma,
         };
-        self.record_phases(ctx, &out);
+        record_phases(&self.tel, ctx, &out);
         out
     }
 
-    fn recycle_dma(&mut self, mut scratch: Vec<nca_spin::handler::DmaWrite>) {
-        scratch.clear();
-        if self.scratch.len() < MAX_SCRATCH {
-            self.scratch.push(scratch);
-        }
+    fn recycle_dma(&mut self, scratch: Vec<DmaWrite>) {
+        recycle(&mut self.scratch, scratch);
     }
 
     fn recovery(&self) -> RecoveryStats {
@@ -316,7 +355,7 @@ impl MessageProcessor for GeneralProcessor {
     }
 
     fn name(&self) -> &'static str {
-        match self.kind {
+        match self.c.kind {
             GeneralKind::HpuLocal => "HPU-local",
             GeneralKind::RoCp => "RO-CP",
             GeneralKind::RwCp => "RW-CP",
@@ -324,35 +363,82 @@ impl MessageProcessor for GeneralProcessor {
     }
 }
 
-/// The specialized (datatype-specific) processor.
-pub struct SpecializedProcessor {
+/// What a specialized strategy fixes once per (datatype, count): the
+/// dataloop, the classified shape, its NIC bytes and the block-search
+/// depth its handlers pay.
+struct SpecializedCommit {
     params: NicParams,
     cyc: HandlerCycles,
     dl: Arc<Dataloop>,
-    seg: Segment,
     shape: Shape,
     nic_mem: u64,
+    search_depth: u32,
+}
+
+impl SpecializedCommit {
+    /// Commit to `count` copies of `dt`.
+    fn new(dt: &Datatype, count: u32, params: NicParams) -> Self {
+        let dl = compile_cached(dt, count);
+        let shape = classify(dt);
+        let nic_mem = shape_nic_bytes(&shape, &dl);
+        let search_depth = match &shape {
+            Shape::Contiguous { .. } | Shape::Vector { .. } | Shape::Vector2 { .. } => 0,
+            Shape::IndexedBlock { count, .. } => (*count as f64).log2().ceil() as u32,
+            Shape::Indexed { count } => (*count as f64).log2().ceil() as u32,
+            Shape::General => (dl.blocks.max(2) as f64).log2().ceil() as u32,
+        };
+        SpecializedCommit {
+            params,
+            cyc: HandlerCycles::default(),
+            dl,
+            shape,
+            nic_mem,
+            search_depth,
+        }
+    }
+}
+
+/// NIC state the specialized handler needs: O(1) for (nested) vectors,
+/// offset/length lists otherwise ("the specialized handler always
+/// requires the minimum amount of space").
+fn shape_nic_bytes(shape: &Shape, dl: &Dataloop) -> u64 {
+    match shape {
+        Shape::Contiguous { .. } => 16,
+        Shape::Vector { .. } => 32,
+        Shape::Vector2 { .. } => 56,
+        Shape::IndexedBlock { count, .. } => 16 + 8 * count,
+        Shape::Indexed { count } => 16 + 16 * count,
+        // No true specialized handler: a custom handler would carry
+        // the full flattened region list.
+        Shape::General => 16 + 16 * dl.blocks,
+    }
+}
+
+/// The specialized (datatype-specific) processor: its committed part,
+/// shared with every processor of the same [`Commit`], plus one
+/// message's segment and DMA scratch.
+pub struct SpecializedProcessor {
+    c: Arc<SpecializedCommit>,
+    seg: Segment,
     /// Recycled DMA-write vectors ([`MessageProcessor::recycle_dma`]).
-    scratch: Vec<Vec<nca_spin::handler::DmaWrite>>,
+    scratch: Vec<Vec<DmaWrite>>,
     tel: Telemetry,
 }
 
 impl SpecializedProcessor {
-    /// Build for `count` copies of `dt`. Works for any type (the offset/
-    /// length lists degenerate to a full flatten for `Shape::General`,
-    /// like a user-written custom handler would).
+    /// Commit to `count` copies of `dt` and instantiate one processor.
+    /// Works for any type (the offset/length lists degenerate to a full
+    /// flatten for `Shape::General`, like a user-written custom handler
+    /// would).
     pub fn new(dt: &Datatype, count: u32, params: NicParams) -> Self {
-        let dl = compile_cached(dt, count);
-        let shape = classify(dt);
-        let nic_mem = Self::shape_nic_bytes(&shape, &dl);
-        let seg = Segment::new(Arc::clone(&dl));
+        Self::instantiate(Arc::new(SpecializedCommit::new(dt, count, params)))
+    }
+
+    /// A processor for one message of `commit`.
+    fn instantiate(commit: Arc<SpecializedCommit>) -> Self {
         SpecializedProcessor {
-            params,
-            cyc: HandlerCycles::default(),
-            dl,
-            seg,
-            shape,
-            nic_mem,
+            seg: Segment::new(Arc::clone(&commit.dl)),
+            c: commit,
             scratch: Vec::new(),
             tel: Telemetry::disabled(),
         }
@@ -364,34 +450,9 @@ impl SpecializedProcessor {
         self
     }
 
-    /// NIC state the specialized handler needs: O(1) for (nested)
-    /// vectors, offset/length lists otherwise ("the specialized handler
-    /// always requires the minimum amount of space").
-    fn shape_nic_bytes(shape: &Shape, dl: &Dataloop) -> u64 {
-        match shape {
-            Shape::Contiguous { .. } => 16,
-            Shape::Vector { .. } => 32,
-            Shape::Vector2 { .. } => 56,
-            Shape::IndexedBlock { count, .. } => 16 + 8 * count,
-            Shape::Indexed { count } => 16 + 16 * count,
-            // No true specialized handler: a custom handler would carry
-            // the full flattened region list.
-            Shape::General => 16 + 16 * dl.blocks,
-        }
-    }
-
     /// The classified shape.
     pub fn shape(&self) -> &Shape {
-        &self.shape
-    }
-
-    fn search_depth(&self) -> u32 {
-        match &self.shape {
-            Shape::Contiguous { .. } | Shape::Vector { .. } | Shape::Vector2 { .. } => 0,
-            Shape::IndexedBlock { count, .. } => (*count as f64).log2().ceil() as u32,
-            Shape::Indexed { count } => (*count as f64).log2().ceil() as u32,
-            Shape::General => (self.dl.blocks.max(2) as f64).log2().ceil() as u32,
-        }
+        &self.c.shape
     }
 }
 
@@ -401,11 +462,11 @@ impl MessageProcessor for SpecializedProcessor {
     }
 
     fn nic_mem_bytes(&self) -> u64 {
-        self.nic_mem
+        self.c.nic_mem
     }
 
     fn host_setup_time(&self) -> Time {
-        self.params.pcie_bw.time_for(self.nic_mem) + self.params.pcie_latency
+        self.c.params.pcie_bw.time_for(self.c.nic_mem) + self.c.params.pcie_latency
     }
 
     fn on_payload(&mut self, ctx: &mut PacketCtx<'_>) -> HandlerOutput {
@@ -418,37 +479,17 @@ impl MessageProcessor for SpecializedProcessor {
             scratch,
             direct,
         );
+        let c = &*self.c;
         let out = HandlerOutput {
-            cost: specialized_handler_cost(
-                &self.params,
-                &self.cyc,
-                stats.blocks_emitted,
-                self.search_depth(),
-            ),
+            cost: specialized_handler_cost(&c.params, &c.cyc, stats.blocks_emitted, c.search_depth),
             dma,
         };
-        if self.tel.is_enabled() {
-            let c = &out.cost;
-            self.tel
-                .value("core", "t_init", ctx.vhpu, ctx.now, c.init as f64);
-            self.tel
-                .value("core", "t_setup", ctx.vhpu, ctx.now, c.setup as f64);
-            self.tel.value(
-                "core",
-                "t_processing",
-                ctx.vhpu,
-                ctx.now,
-                c.processing as f64,
-            );
-        }
+        record_phases(&self.tel, ctx, &out);
         out
     }
 
-    fn recycle_dma(&mut self, mut scratch: Vec<nca_spin::handler::DmaWrite>) {
-        scratch.clear();
-        if self.scratch.len() < MAX_SCRATCH {
-            self.scratch.push(scratch);
-        }
+    fn recycle_dma(&mut self, scratch: Vec<DmaWrite>) {
+        recycle(&mut self.scratch, scratch);
     }
 
     fn name(&self) -> &'static str {
@@ -456,9 +497,72 @@ impl MessageProcessor for SpecializedProcessor {
     }
 }
 
+/// A strategy committed to one (datatype, count): the read-only part of
+/// its receive, built once and shared by every processor instantiated
+/// from it ([`crate::runner::Strategy::commit`]).
+#[derive(Clone)]
+pub struct Commit(Committed);
+
+#[derive(Clone)]
+enum Committed {
+    Specialized(Arc<SpecializedCommit>),
+    General(Arc<GeneralCommit>),
+}
+
+impl Commit {
+    /// Commit a general-handler variant (see [`GeneralProcessor::new`]).
+    pub(crate) fn general(
+        kind: GeneralKind,
+        dt: &Datatype,
+        count: u32,
+        params: NicParams,
+        epsilon: f64,
+    ) -> Commit {
+        Commit(Committed::General(Arc::new(GeneralCommit::new(
+            kind, dt, count, params, epsilon,
+        ))))
+    }
+
+    /// Commit the specialized handlers (see [`SpecializedProcessor::new`]).
+    pub(crate) fn specialized(dt: &Datatype, count: u32, params: NicParams) -> Commit {
+        Commit(Committed::Specialized(Arc::new(SpecializedCommit::new(
+            dt, count, params,
+        ))))
+    }
+
+    /// A fresh processor for one message, tracing into `telemetry`.
+    pub fn instantiate(&self, telemetry: Telemetry) -> Box<dyn MessageProcessor> {
+        match &self.0 {
+            Committed::Specialized(c) => {
+                Box::new(SpecializedProcessor::instantiate(Arc::clone(c)).with_telemetry(telemetry))
+            }
+            Committed::General(c) => {
+                Box::new(GeneralProcessor::instantiate(Arc::clone(c)).with_telemetry(telemetry))
+            }
+        }
+    }
+
+    /// The Δr plan (RO-CP/RW-CP only).
+    pub fn plan(&self) -> Option<&CheckpointPlan> {
+        match &self.0 {
+            Committed::Specialized(_) => None,
+            Committed::General(c) => c.plan.as_ref(),
+        }
+    }
+
+    /// NIC memory every processor of this commit occupies.
+    pub fn nic_mem_bytes(&self) -> u64 {
+        match &self.0 {
+            Committed::Specialized(c) => c.nic_mem,
+            Committed::General(c) => c.nic_mem,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::Strategy;
     use nca_ddt::types::{elem, DatatypeExt};
     use nca_spin::nic::{ReceiveSim, RunConfig};
 
@@ -555,6 +659,38 @@ mod tests {
                 2,
                 None,
             );
+        }
+    }
+
+    #[test]
+    fn a_commit_serves_later_messages_like_a_fresh_build() {
+        // Every strategy, in order and out of order: once one processor
+        // of a commit has received a shuffled message (RW-CP reverting
+        // checkpoints on the way), a second processor of the same commit
+        // gives the report a processor built from scratch gives, field
+        // for field (receive buffer, stages, histograms, recovery).
+        let dt = vec_dt(2048, 8, 16); // 128 KiB, 64 packets
+        let params = NicParams::with_hpus(8);
+        let (packed, _, origin, span) = packed_for(&dt, 1);
+        let run = |proc_: Box<dyn MessageProcessor>, ooo: Option<u64>| {
+            let mut cfg = RunConfig::new(params.clone());
+            cfg.out_of_order = ooo;
+            ReceiveSim::run(proc_, packed.clone(), origin, span, &cfg)
+        };
+        for s in Strategy::ALL {
+            let commit = s.commit(&dt, 1, params.clone(), 0.2);
+            let first = run(commit.instantiate(Telemetry::disabled()), Some(3));
+            if s == Strategy::RwCp {
+                assert!(first.recovery.checkpoint_reverts > 0);
+            }
+            for ooo in [None, Some(7)] {
+                let fresh = run(
+                    s.build(&dt, 1, params.clone(), 0.2, Telemetry::disabled()),
+                    ooo,
+                );
+                let shared = run(commit.instantiate(Telemetry::disabled()), ooo);
+                assert!(shared == fresh, "{} at {ooo:?}", s.label());
+            }
         }
     }
 

@@ -2,14 +2,16 @@
 //! on a worker [`Pool`]. The run functions here are the implementation
 //! behind `ncmt_cli run <scenario.json>`; at any `--jobs` value every
 //! grid comes back in serial job order, so the printed tables and
-//! written artifacts are byte-identical. [`Scenario::compile`] refuses
-//! telemetry keys a kind would ignore, and rejects, with a
-//! path-qualified error, inputs a run could not finish:
-//! receive spans over 1 GiB, more than 1024 tenants, more than 2^16
-//! RSS slots, a horizon past the 64-bit picosecond clock, and traffic
-//! cells expecting more than 2^21 offers or 2^20 streaming buckets. A
-//! strategy run refuses, once it knows its own length, a trace whose
-//! counter tracks would fold more than 2^22 time-series cells.
+//! written artifacts are byte-identical. [`Scenario::compile`] refuses,
+//! with a path-qualified error, keys a kind would ignore (telemetry
+//! keys; on traffic, nonzero fault rates and non-default
+//! `scheduling.epsilon`, `copies` and `out_of_order`) and inputs a run
+//! could not finish: receive spans over 1 GiB, more than 1024 tenants,
+//! more than 2^16 RSS slots, a horizon past the 64-bit picosecond
+//! clock, and traffic cells expecting more than 2^21 offers or 2^20
+//! streaming buckets. A strategy run refuses, once it knows its own
+//! length, a trace whose counter tracks would fold more than 2^22
+//! time-series cells.
 
 use std::fmt::Write;
 
@@ -30,7 +32,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::ddt_compare::{self, DdtCompareDoc};
 use crate::fig16;
-use crate::schema::{Scenario, ScenarioKind, WorkloadSpec};
+use crate::schema::{Scenario, ScenarioKind, SchedulingSpec, WorkloadSpec};
 
 /// What the caller wants out of a run beyond the table.
 #[derive(Debug, Clone, Copy, Default)]
@@ -321,6 +323,33 @@ impl Scenario {
                                 the traffic section, not a workload"
                             .to_string(),
                     );
+                }
+                // Keys a traffic cell would ignore: its losses are
+                // admission rejections, each message's packets arrive in
+                // wire order, its mixes fix every datatype and count,
+                // and its cells commit at the default ε.
+                if !self.faults.is_inert() {
+                    return Err("scenario.faults: traffic scenarios inject no network \
+                                faults (overload shows as admission rejections)"
+                        .to_string());
+                }
+                let fixed = SchedulingSpec::default();
+                if self.scheduling.epsilon != fixed.epsilon {
+                    return Err(format!(
+                        "scenario.scheduling.epsilon: traffic cells commit their \
+                         checkpointed strategies at the default ε = {}",
+                        fixed.epsilon
+                    ));
+                }
+                if self.scheduling.copies != fixed.copies {
+                    return Err("scenario.scheduling.copies: traffic scenarios take each \
+                                message's datatype and count from the traffic mixes"
+                        .to_string());
+                }
+                if self.scheduling.out_of_order.is_some() {
+                    return Err("scenario.scheduling.out_of_order: traffic scenarios \
+                                deliver each message's packets in wire order"
+                        .to_string());
                 }
                 let t = self.traffic.clone().unwrap_or_default();
                 if t.tenants > MAX_TENANTS {

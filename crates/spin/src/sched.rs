@@ -211,8 +211,13 @@ impl<K: Copy + Eq + std::hash::Hash> Scheduler<K> {
             } => {
                 *free_hpus += 1;
                 busy.remove(&key);
-                if queues.get(&key).map(|q| !q.is_empty()).unwrap_or(false) {
+                // A drained key leaves the map: `next_dispatch` reads a
+                // missing queue as empty, so the map holds only keys with
+                // work, not every key a run ever saw.
+                if queues.get(&key).is_some_and(|q| !q.is_empty()) {
                     runnable.push_back(key);
+                } else {
+                    queues.remove(&key);
                 }
             }
             Inner::CFcfs { free_hpus, .. } => *free_hpus += 1,
@@ -259,6 +264,39 @@ mod tests {
         s.done(0, 0);
         let d = s.next_dispatch().expect("key 0 freed");
         assert_eq!((d.key, d.pkt), (0, 11));
+    }
+
+    #[test]
+    fn blocked_rr_keeps_no_queue_once_every_item_is_done() {
+        // Many keys over few HPUs, several items per key, finished as
+        // they dispatch: once the last item is done, no key keeps a
+        // queue, as a traffic cell that keys by (message, vHPU) needs.
+        let mut s: Scheduler<u64> = Scheduler::new(QueueDiscipline::BlockedRR, 2);
+        let mut enqueued = 0;
+        for key in 0..50u64 {
+            for pkt in 0..3 {
+                s.enqueue(key, pkt, 0);
+                enqueued += 1;
+            }
+        }
+        let mut served = 0;
+        while let Some(d) = s.next_dispatch() {
+            served += 1;
+            s.done(d.key, d.hpu);
+            if served % 7 == 0 {
+                // Work arriving mid-run re-creates a drained key's queue.
+                s.enqueue(d.key, 9, 0);
+                enqueued += 1;
+            }
+        }
+        assert_eq!(served, enqueued);
+        match &s.inner {
+            Inner::BlockedRR { queues, busy, .. } => {
+                assert!(queues.is_empty(), "{} drained queues kept", queues.len());
+                assert!(busy.is_empty());
+            }
+            _ => unreachable!("a blocked-RR scheduler"),
+        }
     }
 
     #[test]

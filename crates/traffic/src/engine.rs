@@ -10,6 +10,11 @@
 //! pluggable-discipline HPU scheduler, real handler execution, DMA/PCIe
 //! — to completion. The cell is that core's message source.
 //!
+//! A cell commits each distinct (strategy, workload) once when it sets
+//! up: dataloop, Δr plan, checkpoint table. Admitting a message only
+//! instantiates a processor of its commit (per-message state around a
+//! shared `Arc`), so admission builds none of them.
+//!
 //! Overload shows up as admission rejections: a rejected offer backs
 //! off (capped exponential + seeded jitter, the same policy the
 //! reliability layer's retransmit timers use) and re-offers, up to the
@@ -23,6 +28,7 @@
 use std::collections::HashMap;
 
 use nca_core::runner::Strategy;
+use nca_core::strategies::Commit;
 use nca_ddt::flatten::flatten;
 use nca_ddt::pack::{buffer_span, pack_pattern};
 use nca_ddt::typemap::typemap_verdict;
@@ -68,7 +74,8 @@ pub struct TrafficConfig {
     pub flows_per_tenant: u64,
     /// RSS indirection-table slots.
     pub rss_entries: usize,
-    /// ε scheduling-overhead budget handed to checkpointed strategies.
+    /// ε scheduling-overhead budget the checkpointed strategies commit
+    /// with.
     pub epsilon: f64,
     /// Verify every completed receive buffer against a reference unpack.
     pub verify: bool,
@@ -235,8 +242,6 @@ pub struct TrafficRunResult {
 
 /// A workload instantiated once and shared by every message using it.
 struct CachedWorkload {
-    dt: nca_ddt::types::Datatype,
-    count: u32,
     packed: WireBuf,
     /// The dataloop's merged runs `(buf_off, len)` in stream order: the
     /// reference a landing is verified against (no span-sized image).
@@ -285,12 +290,13 @@ struct Cell {
     /// Seeded jitter source for admission-retry backoff (the fault
     /// spec is inert: only the jitter lane is drawn).
     jitter_src: FaultInjector,
-    epsilon: f64,
     verify: bool,
     cache: Vec<CachedWorkload>,
-    /// `(tenant, mix_idx)` → cache slot.
-    mix_slot: Vec<Vec<usize>>,
-    strategies: Vec<Strategy>,
+    /// Each distinct (strategy, workload) committed once, shared by
+    /// every tenant that runs it.
+    commits: Vec<Commit>,
+    /// `(tenant, mix_idx)` → (cache slot, commit slot).
+    mix_slot: Vec<Vec<(usize, usize)>>,
     schedule: Vec<ScheduledMsg>,
     rss: IndirectionTable,
     admitted: Vec<Admitted>,
@@ -382,7 +388,7 @@ impl MessageSource for Cell {
 fn ev_offer(w: &mut Nic<Cell>, s: &mut Sim<Nic<Cell>>, i: u64, attempt: u64) {
     let c = &mut w.src;
     let m = c.schedule[i as usize];
-    let wl = c.mix_slot[m.tenant][m.mix_idx];
+    let (wl, k) = c.mix_slot[m.tenant][m.mix_idx];
     let bytes = c.cache[wl].packed.len() as u64;
     if c.inflight_bytes + bytes > c.params.pkt_buffer_bytes {
         // Admission rejection: the NIC's packet buffer cannot hold
@@ -404,14 +410,8 @@ fn ev_offer(w: &mut Nic<Cell>, s: &mut Sim<Nic<Cell>>, i: u64, attempt: u64) {
         }
         return;
     }
+    let proc = c.commits[k].instantiate(Telemetry::disabled());
     let wc = &c.cache[wl];
-    let proc = c.strategies[m.tenant].build(
-        &wc.dt,
-        wc.count,
-        c.params.clone(),
-        c.epsilon,
-        Telemetry::disabled(),
-    );
     let (packed, origin, span) = (wc.packed.clone(), wc.origin, wc.span);
     c.inflight_bytes += bytes;
     c.stats[m.tenant].admitted += 1;
@@ -459,10 +459,13 @@ pub fn run_traffic(cfg: &TrafficConfig) -> TrafficRunResult {
 /// read back from the trace, so the sweep captures nothing.
 pub fn run_traffic_with(cfg: &TrafficConfig, tel: &Telemetry) -> TrafficRunResult {
     assert!(!cfg.tenants.is_empty(), "at least one tenant");
-    // Instantiate each distinct workload once, shared across tenants.
+    // Instantiate each distinct workload once, and commit each distinct
+    // (strategy, workload) once, shared across tenants.
     let mut cache: Vec<CachedWorkload> = Vec::new();
     let mut by_label: HashMap<String, usize> = HashMap::new();
-    let mut mix_slot: Vec<Vec<usize>> = Vec::new();
+    let mut commits: Vec<Commit> = Vec::new();
+    let mut committed: Vec<(Strategy, usize)> = Vec::new();
+    let mut mix_slot: Vec<Vec<(usize, usize)>> = Vec::new();
     for spec in &cfg.tenants {
         assert!(
             !spec.mix.is_empty(),
@@ -482,8 +485,6 @@ pub fn run_traffic_with(cfg: &TrafficConfig, tel: &Telemetry) -> TrafficRunResul
                     .map(|e| (e.offset, e.len))
                     .collect();
                 cache.push(CachedWorkload {
-                    dt: w.dt.clone(),
-                    count: w.count,
                     packed,
                     runs,
                     origin,
@@ -491,7 +492,21 @@ pub fn run_traffic_with(cfg: &TrafficConfig, tel: &Telemetry) -> TrafficRunResul
                 });
                 cache.len() - 1
             });
-            slots.push(slot);
+            let key = (spec.strategy, slot);
+            let k = match committed.iter().position(|&c| c == key) {
+                Some(k) => k,
+                None => {
+                    commits.push(spec.strategy.commit(
+                        &w.dt,
+                        w.count,
+                        cfg.params.clone(),
+                        cfg.epsilon,
+                    ));
+                    committed.push(key);
+                    commits.len() - 1
+                }
+            };
+            slots.push((slot, k));
         }
         mix_slot.push(slots);
     }
@@ -508,11 +523,10 @@ pub fn run_traffic_with(cfg: &TrafficConfig, tel: &Telemetry) -> TrafficRunResul
         params: cfg.params.clone(),
         rel: cfg.reliability.clone(),
         jitter_src: FaultInjector::new(FaultSpec::inert().with_seed(splitmix64(cfg.seed ^ 0x7261))),
-        epsilon: cfg.epsilon,
         verify: cfg.verify,
         cache,
+        commits,
         mix_slot,
-        strategies: cfg.tenants.iter().map(|t| t.strategy).collect(),
         schedule: schedule.clone(),
         rss: IndirectionTable::new(cfg.rss_entries, cfg.params.hpus),
         admitted: Vec::new(),
@@ -668,7 +682,7 @@ mod tests {
     #[test]
     fn all_disciplines_run_all_strategies_byte_exact() {
         for d in QueueDiscipline::ALL {
-            for s in [Strategy::Specialized, Strategy::HpuLocal] {
+            for s in Strategy::ALL {
                 let mut c = cfg(0.7, d, 11);
                 c.horizon_ps = nca_sim::us(120);
                 for t in &mut c.tenants {

@@ -544,6 +544,53 @@ fn telemetry_keys_a_kind_ignores_are_refused_with_their_path() {
 }
 
 #[test]
+fn fault_and_scheduling_keys_traffic_ignores_are_refused_with_their_path() {
+    // Each of these once ran a traffic scenario and wrote the default
+    // artifact: a cell's losses are admission rejections, its messages'
+    // packets arrive in wire order, its mixes fix every datatype and
+    // count, and its cells commit at the default ε.
+    for set in [
+        "faults.drop=0.2",
+        "faults.duplicate=0.1",
+        "faults.corrupt=0.01",
+        "faults.reorder_ns=2000",
+    ] {
+        assert_rejected("traffic.json", &[set], "scenario.faults");
+    }
+    for (set, path) in [
+        (
+            "scheduling.out_of_order=7",
+            "scenario.scheduling.out_of_order",
+        ),
+        ("scheduling.epsilon=0.05", "scenario.scheduling.epsilon"),
+        ("scheduling.copies=4", "scenario.scheduling.copies"),
+    ] {
+        assert_rejected("traffic.json", &[set], path);
+    }
+    // An inert fault section and the default scheduling values change
+    // nothing and stay legal.
+    let plan = shipped_with(
+        "traffic.json",
+        &[
+            "faults.seed=9",
+            "scheduling.epsilon=0.2",
+            "scheduling.copies=1",
+        ],
+    );
+    assert!(matches!(plan, Plan::Traffic(_)), "{plan:?}");
+    compile_watched(
+        "strategy_run.json",
+        &[
+            "faults.drop=0.2",
+            "scheduling.out_of_order=7",
+            "scheduling.epsilon=0.05",
+            "scheduling.copies=4",
+        ],
+    )
+    .expect("a strategy run reads them all");
+}
+
+#[test]
 fn every_ci_nightly_and_benchmark_case_stays_under_the_bounds() {
     let cases: [(&str, &[&str]); 5] = [
         // Nightly traffic soak: 4 tenants and 16 HPUs.

@@ -65,6 +65,43 @@ fn regenerate_golden_traffic_baseline() {
     std::fs::write(&path, doc.to_json()).expect("write golden");
 }
 
+/// FNV-1a 64 of `text`, as 16 hex digits (the digest
+/// `benchmark/expected/` pins artifacts by).
+fn fnv1a(text: &str) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in text.bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!("{h:016x}")
+}
+
+#[test]
+fn every_strategy_reproduces_its_golden_grid_digest() {
+    // The golden grid's artifact under each of the other strategies,
+    // pinned by digest when every admission still built its own
+    // processor; RW-CP's is `tests/golden/traffic_baseline.json`. The
+    // same artifacts are `run scenarios/traffic.json --set
+    // traffic.strategy=<label> --report-out F`.
+    let pinned = [
+        (Strategy::Specialized, "18d9d4dbd46da347"),
+        (Strategy::RoCp, "cddd0b18c3ebf58b"),
+        (Strategy::HpuLocal, "190c6aa8e4aa39ec"),
+    ];
+    for (strategy, want) in pinned {
+        let mut spec = golden_spec();
+        spec.strategy = strategy;
+        let doc = traffic_sweep(&spec, &Pool::from_env(None));
+        assert!(doc.all_byte_exact(), "{}", strategy.label());
+        assert_eq!(
+            fnv1a(&doc.to_json()),
+            want,
+            "{} drifted from its golden-grid digest",
+            strategy.label()
+        );
+    }
+}
+
 #[test]
 fn golden_artifact_round_trips_through_the_parser() {
     let doc = traffic_sweep(&golden_spec(), &Pool::from_env(None));
