@@ -9,11 +9,11 @@
 //!
 //! The `contig` benchmarks isolate the pipeline itself (minimal handler,
 //! no datatype processing): their packets/sec is the per-packet overhead
-//! of the simulated receive path — message clone, checksum stamping,
-//! payload staging and DMA landing — which is exactly what the zero-copy
-//! refactor attacks. The per-strategy benchmarks include processor
-//! construction (dataloop compile, checkpoint tables), i.e. the full
-//! per-message receive cost.
+//! of the simulated receive path — message clone, payload staging and
+//! DMA landing — which is exactly what the zero-copy refactor attacks.
+//! The runs are lossless, so no payload byte is ever hashed. The
+//! per-strategy benchmarks include processor construction (dataloop
+//! compile, checkpoint tables), i.e. the full per-message receive cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 

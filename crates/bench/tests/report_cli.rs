@@ -153,7 +153,10 @@ fn profile_artifact_phase_totals_tile_the_wall_clock() {
 #[test]
 fn run_rejects_bad_input_with_exit_2() {
     let traffic = STRATEGY_RUN.replace("strategy_run.json", "traffic.json");
-    let cases: [(Vec<&str>, &str); 10] = [
+    let fig16 = STRATEGY_RUN.replace("strategy_run.json", "fig16.json");
+    let ddt = STRATEGY_RUN.replace("strategy_run.json", "ddt_host_compare.json");
+    let sweep = STRATEGY_RUN.replace("strategy_run.json", "fault_sweep.json");
+    let cases: [(Vec<&str>, &str); 16] = [
         (
             vec!["run", STRATEGY_RUN, "--set", "workload.cuont=5"],
             "scenario.workload.cuont: unknown key",
@@ -192,6 +195,30 @@ fn run_rejects_bad_input_with_exit_2() {
         (
             vec!["run", &traffic, "--set", "scheduling.copies=4"],
             "scenario.scheduling.copies: traffic scenarios",
+        ),
+        (
+            vec!["run", &fig16, "--set", "faults.drop=0.2"],
+            "scenario.faults: fig16 scenarios",
+        ),
+        (
+            vec!["run", &fig16, "--set", "scheduling.hpus=4"],
+            "scenario.scheduling.hpus: fig16 scenarios",
+        ),
+        (
+            vec!["run", &ddt, "--set", "scheduling.epsilon=0.05"],
+            "scenario.scheduling.epsilon: ddt-host-compare scenarios",
+        ),
+        (
+            vec!["run", &sweep, "--set", "scheduling.out_of_order=7"],
+            "scenario.scheduling.out_of_order: fault-sweep cells",
+        ),
+        (
+            vec!["run", &sweep, "--set", "scheduling.epsilon=0.05"],
+            "scenario.scheduling.epsilon: fault-sweep cells",
+        ),
+        (
+            vec!["run", STRATEGY_RUN, "--set", "sweep.seeds=8"],
+            "scenario.sweep: only fault-sweep scenarios",
         ),
         (
             vec!["run", STRATEGY_RUN, "--count", "5"],

@@ -197,7 +197,7 @@ static COMPILE_CACHE: std::sync::OnceLock<std::sync::Mutex<HashMap<CompileKey, A
 /// constructor kind and all of its parameters at every node, recursing
 /// into children/fields. Two types with equal fingerprints (and equal
 /// cached discriminants, see [`CompileKey`]) compile to identical
-/// dataloops.
+/// dataloops. [`compile_cached`] memoizes it on the root node.
 fn fingerprint(dt: &Datatype) -> u64 {
     fn mix(h: &mut u64, v: u64) {
         // FNV-1a, folded a byte at a time.
@@ -279,12 +279,13 @@ fn fingerprint(dt: &Datatype) -> u64 {
 /// keyed by the type's structural signature, so identical workloads
 /// across concurrent sweep jobs (every seed × scale cell of a fault
 /// sweep re-receives the same datatype) pay the compile — offset-list
-/// materialization included — exactly once. The returned `Arc` is
-/// shared between all hits; dataloops are immutable, so sharing is
-/// invisible to callers.
+/// materialization included — exactly once. The signature's
+/// fingerprint is memoized on the type node, so repeated lookups of one
+/// handle hash nothing. The returned `Arc` is shared between all hits;
+/// dataloops are immutable, so sharing is invisible to callers.
 pub fn compile_cached(dt: &Datatype, count: u32) -> Arc<Dataloop> {
     let key = CompileKey {
-        fingerprint: fingerprint(dt),
+        fingerprint: *dt.fingerprint.get_or_init(|| fingerprint(dt)),
         size: dt.size,
         extent: dt.extent(),
         leaf_blocks: dt.leaf_blocks,
@@ -607,6 +608,36 @@ mod tests {
                 assert_ne!(ox.as_ref(), oy.as_ref());
             }
             other => panic!("unexpected bodies {other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_memoized_fingerprint_is_the_fresh_one_and_keys_one_entry() {
+        // Each type is built twice from separate allocations: the first
+        // lookup memoizes the fingerprint on its own root, which must
+        // equal a fresh hash of the other copy, and both copies must
+        // hit one cache entry.
+        let indexed =
+            || Datatype::indexed(&[3, 1, 4, 1, 5], &[0, 7, 11, 19, 29], &elem::double()).unwrap();
+        let struct_of_subarrays = || {
+            let d = elem::double();
+            let face = |dim: usize| {
+                let mut sub = [6u64, 6, 6];
+                sub[dim] = 2;
+                Datatype::subarray(&[6, 6, 6], &sub, &[0, 0, 0], ArrayOrder::C, &d).unwrap()
+            };
+            Datatype::struct_(&[1, 1], &[0, 4096], &[face(1), face(2)]).unwrap()
+        };
+        for build in [&indexed as &dyn Fn() -> Datatype, &struct_of_subarrays] {
+            let (a, b) = (build(), build());
+            assert!(!Arc::ptr_eq(&a, &b));
+            assert_eq!(a.fingerprint.get(), None, "filled lazily, not at build");
+            let dl_a = compile_cached(&a, 2);
+            assert_eq!(a.fingerprint.get(), Some(&fingerprint(&b)));
+            assert_eq!(b.fingerprint.get(), None);
+            let dl_b = compile_cached(&b, 2);
+            assert_eq!(b.fingerprint.get(), a.fingerprint.get());
+            assert!(Arc::ptr_eq(&dl_a, &dl_b), "both copies share one entry");
         }
     }
 

@@ -6,7 +6,7 @@
 //! list (adjacent regions merged), and [`Iovec`] carries the accounting
 //! the baseline model needs (entry count → NIC refill reads).
 
-use crate::dataloop::compile;
+use crate::dataloop::compile_cached;
 use crate::segment::Segment;
 use crate::sink::BlockSink;
 use crate::types::Datatype;
@@ -65,7 +65,7 @@ impl BlockSink for MergeSink {
 
 /// Flatten `count` copies of `dt` into a merged iovec.
 pub fn flatten(dt: &Datatype, count: u32) -> Iovec {
-    let dl = compile(dt, count);
+    let dl = compile_cached(dt, count);
     let mut seg = Segment::new(dl);
     let mut sink = MergeSink {
         entries: Vec::new(),

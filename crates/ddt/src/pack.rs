@@ -1,7 +1,7 @@
 //! Pack/unpack built on the segment engine — the host-side reference
 //! implementation (what `MPI_Pack`/`MPI_Unpack`/`MPIT_Type_memcpy` do).
 
-use crate::dataloop::{compile, compile_cached};
+use crate::dataloop::compile_cached;
 use crate::error::{DdtError, Result};
 use crate::segment::{SegStats, Segment};
 use crate::sink::{BlockSink, CopySink, PackSink};
@@ -30,7 +30,7 @@ pub fn pack(dt: &Datatype, count: u32, src: &[u8], origin: i64) -> Result<Vec<u8
             got: src.len() as u64,
         });
     }
-    let dl = compile(dt, count);
+    let dl = compile_cached(dt, count);
     let mut out = Vec::with_capacity(dl.size as usize);
     let mut seg = Segment::new(dl);
     let mut sink = PackSink {
@@ -105,7 +105,7 @@ pub fn unpack(
     dst: &mut [u8],
     origin: i64,
 ) -> Result<SegStats> {
-    let dl = compile(dt, count);
+    let dl = compile_cached(dt, count);
     if packed.len() as u64 != dl.size {
         return Err(DdtError::StreamOutOfBounds {
             pos: packed.len() as u64,

@@ -11,7 +11,7 @@
 //! * `hvector`/`hindexed*`/`struct` displacements are in **bytes**;
 //! * internally everything is normalized to bytes.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::error::{DdtError, Result};
 
@@ -153,6 +153,10 @@ pub struct DatatypeNode {
     /// `Some(run_bytes)` when the typemap is one single contiguous,
     /// in-stream-order run starting at `true_lb`. Used for leaf collapsing.
     pub contig_run: Option<u64>,
+    /// Structural fingerprint of the whole tree under this node, filled
+    /// by the first [`crate::dataloop::compile_cached`] lookup, so a
+    /// type committed once is hashed once however often it is looked up.
+    pub(crate) fingerprint: OnceLock<u64>,
 }
 
 /// A committed-style, immutable, shareable datatype handle.
@@ -234,6 +238,7 @@ fn mk(
         leaf_blocks,
         depth,
         contig_run,
+        fingerprint: OnceLock::new(),
     })
 }
 

@@ -14,7 +14,7 @@
 //! location. [`unpack_traffic`] replays the unpack access pattern of a
 //! datatype through the LLC model and reports both volumes.
 
-use nca_ddt::dataloop::compile;
+use nca_ddt::dataloop::compile_cached;
 use nca_ddt::segment::Segment;
 use nca_ddt::sink::BlockSink;
 use nca_ddt::types::Datatype;
@@ -67,7 +67,7 @@ impl BlockSink for UnpackReplay<'_> {
 /// Replay a cold-cache unpack of `count` copies of `dt` and report the
 /// DRAM traffic of host-based vs offloaded receive.
 pub fn unpack_traffic(dt: &Datatype, count: u32, cfg: CacheConfig) -> TrafficReport {
-    let dl = compile(dt, count);
+    let dl = compile_cached(dt, count);
     let msg = dl.size;
     let mut cache = Cache::new(cfg);
     // Address layout: destination buffer at 0 (+slack for negative lb),

@@ -6,7 +6,7 @@ use nca_core::api::{OffloadManager, PostOutcome, TypeAttr};
 use nca_core::costmodel::{HandlerCycles, HostCostModel};
 use nca_core::heuristic::select_checkpoint_interval;
 use nca_core::runner::Strategy;
-use nca_ddt::dataloop::compile;
+use nca_ddt::dataloop::compile_cached;
 use nca_ddt::pack::{buffer_span, pack, unpack};
 use nca_ddt::types::Datatype;
 use nca_loggopsim::model::LogGopsParams;
@@ -180,7 +180,7 @@ impl World {
         let mut buffer = vec![0u8; span as usize];
         unpack(&posted.dt, posted.count, &msg.packed, &mut buffer, origin)
             .expect("stream length matches datatype");
-        let dl = compile(&posted.dt, posted.count);
+        let dl = compile_cached(&posted.dt, posted.count);
         let ready = msg.arrival.max(posted.posted_at);
         let complete_at = match posted.offloaded {
             Some(s) => ready + self.net.o + self.offload_residual(s, msg.dt_size, dl.blocks),
@@ -223,7 +223,7 @@ impl World {
             let (origin, span) = buffer_span(dt, count);
             let mut buffer = vec![0u8; span as usize];
             unpack(dt, count, &msg.packed, &mut buffer, origin).expect("length matches");
-            let dl = compile(dt, count);
+            let dl = compile_cached(dt, count);
             let complete_at = now.max(msg.arrival) + self.host.unpack_time(msg.dt_size, dl.blocks);
             self.pending.insert(
                 req,

@@ -141,7 +141,6 @@ impl StreamingPut {
             } else {
                 PacketKind::Payload
             },
-            checksum: 0,
         };
         self.emitted_pkts += 1;
         self.emitted_bytes += len;

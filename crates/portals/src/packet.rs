@@ -54,31 +54,12 @@ pub struct PktHeader {
     pub len: u64,
     /// Packet classification.
     pub kind: PacketKind,
-    /// Payload checksum the sender stamped into the header (FNV-1a over
-    /// the payload bytes; see [`payload_checksum`]). Receivers verify it
-    /// to detect in-flight corruption. `0` when the sender did not
-    /// checksum (e.g. closed-form pipelines that never hit a lossy
-    /// network path).
-    pub checksum: u32,
 }
 
 impl PktHeader {
     /// Bytes on the wire: payload plus link/protocol header.
     pub fn wire_bytes(&self, header_bytes: u64) -> u64 {
         self.len + header_bytes
-    }
-
-    /// Stamp the header checksum from the packed message stream this
-    /// packet's `[offset, offset+len)` range points into.
-    pub fn stamp_checksum(&mut self, stream: &[u8]) {
-        let lo = self.offset as usize;
-        let hi = lo + self.len as usize;
-        self.checksum = payload_checksum(&stream[lo..hi]);
-    }
-
-    /// Whether `payload` matches the stamped checksum.
-    pub fn verify_payload(&self, payload: &[u8]) -> bool {
-        self.checksum == payload_checksum(payload)
     }
 }
 
@@ -91,13 +72,6 @@ pub struct Packet {
     pub hdr: PktHeader,
     /// Payload bytes, viewed into the message's [`WireBuf`].
     pub payload: PktView,
-}
-
-impl Packet {
-    /// Stamp the header checksum from this packet's own payload view.
-    pub fn stamp_checksum(&mut self) {
-        self.hdr.checksum = payload_checksum(&self.payload);
-    }
 }
 
 impl std::ops::Deref for Packet {
@@ -117,7 +91,9 @@ impl std::ops::DerefMut for Packet {
 /// the digest: the per-byte transform `h = (h ^ b) * prime` is injective
 /// in `h` for fixed suffixes, so a one-byte flip always propagates to
 /// the final value — exactly the corruption model the fault injector
-/// produces.
+/// produces. A receiver checks a corrupted copy by comparing its digest
+/// with the digest of the packet's own (immutable) payload view, so
+/// only copies the fault layer corrupted are ever hashed.
 pub fn payload_checksum(payload: &[u8]) -> u32 {
     let mut h: u32 = 0x811C_9DC5;
     for &b in payload {
@@ -125,15 +101,6 @@ pub fn payload_checksum(payload: &[u8]) -> u32 {
         h = h.wrapping_mul(0x0100_0193);
     }
     h
-}
-
-/// Stamp checksums on every packet of a message from each packet's own
-/// payload view. Lossless pipelines skip this — checksums only matter
-/// when the fault layer can corrupt bytes in flight.
-pub fn stamp_checksums(pkts: &mut [Packet]) {
-    for p in pkts {
-        p.stamp_checksum();
-    }
 }
 
 /// Split a message of `msg_len` bytes into packet headers with at most
@@ -148,7 +115,6 @@ pub fn packetize(msg_id: u64, msg_len: u64, payload_size: u64) -> Vec<PktHeader>
             offset: 0,
             len: 0,
             kind: PacketKind::Only,
-            checksum: payload_checksum(&[]),
         }];
     }
     let npkt = msg_len.div_ceil(payload_size);
@@ -168,7 +134,6 @@ pub fn packetize(msg_id: u64, msg_len: u64, payload_size: u64) -> Vec<PktHeader>
                 offset,
                 len,
                 kind,
-                checksum: 0,
             }
         })
         .collect()
@@ -253,7 +218,6 @@ mod tests {
         let pkts = packetize_wire(1, &WireBuf::empty(), 2048);
         assert_eq!(pkts.len(), 1);
         assert!(pkts[0].payload.is_empty());
-        assert!(pkts[0].verify_payload(&pkts[0].payload));
     }
 
     #[test]
@@ -271,26 +235,19 @@ mod tests {
             .map(|i| (i % 251) as u8)
             .collect::<Vec<u8>>()
             .into();
-        let mut pkts = packetize_wire(3, &stream, 2048);
-        stamp_checksums(&mut pkts);
-        for p in &pkts {
-            assert!(p.verify_payload(&p.payload));
+        for p in &packetize_wire(3, &stream, 2048) {
+            let want = payload_checksum(&p.payload);
             // Flip each byte in turn with several masks: all must fail.
             let mut copy = p.payload.to_vec();
+            assert_eq!(payload_checksum(&copy), want);
             for at in [0usize, copy.len() / 2, copy.len() - 1] {
                 for mask in [1u8, 0x80, 0xFF] {
                     copy[at] ^= mask;
-                    assert!(!p.verify_payload(&copy), "flip at {at} mask {mask:#x}");
+                    assert_ne!(payload_checksum(&copy), want, "flip at {at} mask {mask:#x}");
                     copy[at] ^= mask;
                 }
             }
         }
-    }
-
-    #[test]
-    fn zero_length_packet_checksums_consistently() {
-        let pkts = packetize(1, 0, 2048);
-        assert!(pkts[0].verify_payload(&[]));
     }
 
     #[test]
@@ -301,7 +258,6 @@ mod tests {
             offset: 0,
             len: 2048,
             kind: PacketKind::Only,
-            checksum: 0,
         };
         assert_eq!(p.wire_bytes(64), 2112);
     }

@@ -4,12 +4,14 @@
 //! grid comes back in serial job order, so the printed tables and
 //! written artifacts are byte-identical. [`Scenario::compile`] refuses,
 //! with a path-qualified error, keys a kind would ignore (telemetry
-//! keys; on traffic, nonzero fault rates and non-default
-//! `scheduling.epsilon`, `copies` and `out_of_order`) and inputs a run
-//! could not finish: receive spans over 1 GiB, more than 1024 tenants,
-//! more than 2^16 RSS slots, a horizon past the 64-bit picosecond
-//! clock, and traffic cells expecting more than 2^21 offers or 2^20
-//! streaming buckets. A strategy run refuses, once it knows its own
+//! keys; a `sweep` outside a fault sweep; on traffic, nonzero fault
+//! rates and non-default `scheduling.epsilon`, `copies` and
+//! `out_of_order`; on a fault sweep, non-default `scheduling.epsilon`
+//! and `out_of_order`; on fig16 and ddt-host-compare, any non-default
+//! `faults` or `scheduling` field) and inputs a run could not finish:
+//! receive spans over 1 GiB, more than 1024 tenants, more than 2^16 RSS
+//! slots, a horizon past the 64-bit picosecond clock, and traffic cells
+//! expecting more than 2^21 offers or 2^20 streaming buckets. A strategy run refuses, once it knows its own
 //! length, a trace whose counter tracks would fold more than 2^22
 //! time-series cells.
 
@@ -32,7 +34,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::ddt_compare::{self, DdtCompareDoc};
 use crate::fig16;
-use crate::schema::{Scenario, ScenarioKind, SchedulingSpec, WorkloadSpec};
+use crate::schema::{FaultsSpec, Scenario, ScenarioKind, SchedulingSpec, SweepSpec, WorkloadSpec};
 
 /// What the caller wants out of a run beyond the table.
 #[derive(Debug, Clone, Copy, Default)]
@@ -253,6 +255,13 @@ impl Scenario {
         if let Some(why) = ignored {
             return Err(format!("scenario.telemetry.{why}"));
         }
+        if self.kind != ScenarioKind::FaultSweep && self.sweep != SweepSpec::default() {
+            return Err(format!(
+                "scenario.sweep: only fault-sweep scenarios run a seed × scale grid; \
+                 {} scenarios ignore it",
+                self.kind.label()
+            ));
+        }
         if self.scheduling.hpus > MAX_HPUS {
             return Err(format!(
                 "scenario.scheduling.hpus: {} HPUs exceed the bound of {MAX_HPUS}",
@@ -289,6 +298,22 @@ impl Scenario {
                 if self.faults.is_inert() {
                     return Err("scenario.faults: fault-sweep needs at least one nonzero \
                                 fault rate (drop/duplicate/corrupt/reorder_ns)"
+                        .to_string());
+                }
+                // The cells commit at the default ε and reorder packets
+                // only through `faults.reorder_ns`. `faults.seed` stays
+                // legal: the cells take their seeds from `sweep.seed0`.
+                let fixed = SchedulingSpec::default();
+                if self.scheduling.epsilon != fixed.epsilon {
+                    return Err(format!(
+                        "scenario.scheduling.epsilon: fault-sweep cells commit their \
+                         checkpointed strategies at the default ε = {}",
+                        fixed.epsilon
+                    ));
+                }
+                if self.scheduling.out_of_order.is_some() {
+                    return Err("scenario.scheduling.out_of_order: fault-sweep cells \
+                                reorder packets only through faults.reorder_ns"
                         .to_string());
                 }
                 let cells = self.sweep.seeds as u128 * self.sweep.scales.len() as u128;
@@ -417,6 +442,27 @@ impl Scenario {
                 Ok(Plan::Traffic(spec))
             }
             ScenarioKind::Fig16 | ScenarioKind::DdtHostCompare => {
+                // Fig. 16 receives every row losslessly on the paper's
+                // 16-HPU NIC at the default ε and the workload's own
+                // count; the host comparison runs no NIC at all.
+                let (faults, scheduling) = if self.kind == ScenarioKind::Fig16 {
+                    (
+                        "fig16 scenarios receive every row over a lossless network",
+                        "fig16 scenarios run every row on a 16-HPU NIC at the default ε, \
+                         with the workload's own count and packets in wire order",
+                    )
+                } else {
+                    (
+                        "ddt-host-compare scenarios run no network",
+                        "ddt-host-compare scenarios run no NIC",
+                    )
+                };
+                if self.faults != FaultsSpec::default() {
+                    return Err(format!("scenario.faults: {faults}"));
+                }
+                if let Some(key) = self.scheduling.changed_key() {
+                    return Err(format!("scenario.scheduling.{key}: {scheduling}"));
+                }
                 let max_kib = match &self.workload {
                     None => None,
                     Some(WorkloadSpec::Apps { max_kib }) => *max_kib,
@@ -491,7 +537,7 @@ pub fn run_strategy(plan: &StrategyPlan, pool: &Pool, opts: &RunOptions) -> Outc
         o,
         "message  : {:.1} KiB in {} regions (gamma = {:.1}), {} HPUs{}",
         plan.dt.size as f64 * plan.copies as f64 / 1024.0,
-        nca_ddt::dataloop::compile(&plan.dt, plan.copies).blocks,
+        nca_ddt::dataloop::compile_cached(&plan.dt, plan.copies).blocks,
         exp.gamma(),
         plan.hpus,
         if plan.out_of_order.is_some() {

@@ -139,6 +139,22 @@ impl Default for SchedulingSpec {
     }
 }
 
+impl SchedulingSpec {
+    /// The first key, in document order, whose value differs from the
+    /// default.
+    pub(crate) fn changed_key(&self) -> Option<&'static str> {
+        let d = Self::default();
+        [
+            ("hpus", self.hpus != d.hpus),
+            ("epsilon", self.epsilon != d.epsilon),
+            ("copies", self.copies != d.copies),
+            ("out_of_order", self.out_of_order != d.out_of_order),
+        ]
+        .into_iter()
+        .find_map(|(key, changed)| changed.then_some(key))
+    }
+}
+
 /// Telemetry capture tuning; it never turns capture on. Only a strategy
 /// run's `--trace-out` captures: a ring of 4 Mi events unless
 /// `ring_capacity` says otherwise, with counter tracks bucketed at

@@ -41,7 +41,7 @@ use std::collections::VecDeque;
 
 use nca_portals::event::{EventKind, EventQueue, FullEvent};
 use nca_portals::matching::{MatchOutcome, MatchingUnit};
-use nca_portals::packet::{packetize_wire, stamp_checksums, Packet};
+use nca_portals::packet::{packetize_wire, payload_checksum, Packet};
 use nca_sim::{DeliveredCopy, FaultInjector, FaultSpec, PooledBuf, Sim, Time, WireBuf};
 use nca_telemetry::flight::{self, Attribution, Interval, Stage};
 use nca_telemetry::{hist::LogHistogram, probe::SimTelemetryProbe, Telemetry};
@@ -686,15 +686,16 @@ impl<S: MessageSource> Nic<S> {
     fn packet_rx(&mut self, sim: &mut Sim<Self>, idx: usize, copy: Option<DeliveredCopy>) {
         let pkt = &self.msgs[0].packets[idx];
         let now = sim.now();
-        // Corruption detection: recompute the checksum over the bytes as
-        // they arrived. The fault layer materializes corrupted copies
-        // copy-on-write, so the shared wire buffer is never mutated. A
-        // single-byte flip always breaks FNV-1a, so a corrupted copy
-        // never reaches the pipeline.
+        // Corruption detection: compare the checksum of the bytes as
+        // they arrived with the checksum of the packet's own payload.
+        // The fault layer materializes corrupted copies copy-on-write,
+        // so the shared wire buffer is never mutated and its digest is
+        // the one a sender would have stamped. A single-byte flip always
+        // breaks FNV-1a, so a corrupted copy never reaches the pipeline.
         if let Some(c) = copy {
             if c.corrupt && pkt.hdr.len > 0 {
                 let bytes = c.materialize(&pkt.payload);
-                if !pkt.hdr.verify_payload(&bytes) {
+                if payload_checksum(&bytes) != payload_checksum(&pkt.payload) {
                     let rel = self.rel.as_mut().expect("fault mode");
                     rel.stats.corrupts_rejected += 1;
                     self.tel.counter("spin", "corrupt_rejected", 0, now, 1);
@@ -1143,11 +1144,6 @@ impl ReceiveSim {
             nic.match_bits = p.match_bits;
         }
         nic.add_message(&packed.into(), proc, host_origin, host_span);
-        if faulty {
-            // Checksums only matter when the network can corrupt bytes;
-            // the lossless path skips the per-byte FNV pass entirely.
-            stamp_checksums(&mut nic.msgs[0].packets);
-        }
         let npkt = nic.msgs[0].packets.len();
         nic.rel = faulty.then(|| RelState {
             injector: FaultInjector::new(cfg.faults),

@@ -1,6 +1,6 @@
 //! The thirteen Fig. 16 application datatypes.
 
-use nca_ddt::dataloop::compile;
+use nca_ddt::dataloop::compile_cached;
 use nca_ddt::types::{elem, ArrayOrder, Datatype, DatatypeExt};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -33,7 +33,7 @@ impl AppWorkload {
 
     /// Average contiguous regions per packet of `payload` bytes (γ).
     pub fn gamma(&self, payload: u64) -> f64 {
-        let dl = compile(&self.dt, self.count);
+        let dl = compile_cached(&self.dt, self.count);
         let npkt = dl.size.div_ceil(payload).max(1);
         dl.blocks as f64 / npkt as f64
     }

@@ -128,6 +128,30 @@ fn corruption_only_mix_rejects_and_retransmits() {
         "rejected packets must retransmit"
     );
     assert!(r.rel.delivered_exactly_once);
+
+    // Corrupt every copy: each one is checked and rejected, so every
+    // packet exhausts its retries and arrives over the host fallback.
+    exp.faults.corrupt = 1.0;
+    exp.reliability.max_retries = 2;
+    let r = exp.run(Strategy::HpuLocal);
+    assert_eq!(
+        r.rel.corrupts_injected,
+        r.npkt * (1 + exp.reliability.max_retries as u64)
+    );
+    assert_eq!(r.rel.corrupts_rejected, r.rel.corrupts_injected);
+    assert_eq!(r.rel.host_fallback_packets, r.npkt);
+    assert!(r.rel.delivered_exactly_once);
+    let (origin, span) = buffer_span(&exp.dt, exp.count);
+    let mut expect = vec![0u8; span as usize];
+    unpack(
+        &exp.dt,
+        exp.count,
+        &exp.packed_message(),
+        &mut expect,
+        origin,
+    )
+    .expect("unpackable");
+    assert_eq!(r.host_buf, expect, "the fallback copies are not byte-exact");
 }
 
 #[test]
